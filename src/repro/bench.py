@@ -119,25 +119,41 @@ def _tlb_resident_workload(num_gpus: int, lanes: int, accesses: int, pages: int)
 def bench_fastpath_batch_replay(quick: bool = False) -> Dict[str, float]:
     """Batched fast-path replay over a TLB-resident trace — the tentpole
     scenario for the two-tier replay core.  ``ops`` counts simulated
-    accesses; ``replayed`` records how many the batch tier absorbed
-    (informational, like every field other than ``wall_s``)."""
+    accesses; ``replayed`` records how many the batch tier absorbed,
+    ``bites`` in how many commits (``mean_bite`` = replayed / bites),
+    and ``vs_event_speedup`` the event path's wall time over the
+    default's on the same trace in this process — a same-host ratio,
+    unlike ``wall_s``.  All fields but ``wall_s`` are informational."""
     from .config import InvalidationScheme, baseline_config
     from .gpu.system import MultiGPUSystem
 
     accesses = 5_000 if quick else 20_000
     workload = _tlb_resident_workload(num_gpus=4, lanes=4, accesses=accesses, pages=16)
     config = baseline_config(4).with_scheme(InvalidationScheme.IDYLL)
-    system = MultiGPUSystem(config, seed=7)
-    t0 = time.perf_counter()
-    result = system.run(workload)
-    wall = time.perf_counter() - t0
+
+    def timed(cfg):
+        system = MultiGPUSystem(cfg, seed=7)
+        t0 = time.perf_counter()
+        result = system.run(workload)
+        return system, result, time.perf_counter() - t0
+
+    system, result, wall = timed(config)
+    _, event_result, event_wall = timed(config.with_fastpath(False))
+    if event_result != result:
+        raise AssertionError("fast path diverged from the event path")
+    fastpath = system.fastpath
+    replayed = fastpath.replayed if fastpath else 0
+    bites = fastpath.bites if fastpath else 0
     ops = result.accesses
     return {
         "wall_s": wall,
         "ops": ops,
         "ops_per_s": ops / wall if wall else 0.0,
         "exec_time": result.exec_time,
-        "replayed": system.fastpath.replayed if system.fastpath else 0,
+        "replayed": replayed,
+        "bites": bites,
+        "mean_bite": replayed / bites if bites else 0.0,
+        "vs_event_speedup": event_wall / wall if wall else 0.0,
     }
 
 

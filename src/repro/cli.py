@@ -926,7 +926,7 @@ def _cmd_fuzz(args) -> int:
     from .experiments.fuzz import FuzzSpec, check_spec, fuzz
     from .gpu.fastpath import HAVE_NUMPY
 
-    kernels = "event/scalar/global" + ("/vector" if HAVE_NUMPY else "")
+    kernels = "event/scalar" + ("/vector" if HAVE_NUMPY else "")
     if args.spec:
         spec = FuzzSpec.from_json(args.spec)
         report = check_spec(spec)

@@ -158,10 +158,10 @@ def cache_key(
 
     The whole ``SystemConfig`` is folded in via ``asdict``, so every
     new knob — including replay-tier selection like
-    ``fastpath_vectorised`` / ``fastpath_per_gpu`` — invalidates cached
-    results automatically; results must never be shared across replay
-    tiers even though the tiers are equivalence-tested, because a
-    kernel bug would otherwise be *served from cache* after the fix.
+    ``fastpath_vectorised`` — invalidates cached results automatically;
+    results must never be shared across replay tiers even though the
+    tiers are equivalence-tested, because a kernel bug would otherwise
+    be *served from cache* after the fix.
     """
     payload = {
         "app": app,

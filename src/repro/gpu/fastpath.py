@@ -16,7 +16,31 @@ L1, touch a remote or gated page, collide with an MSHR entry or a
 pending IRMB invalidation — or the moment the UVM driver starts an
 episode touching the lane's GPU.
 
-Two replay kernels implement the identical contract:
+Escape-lookahead merge
+----------------------
+The batcher runs between two calendar events, so the state the escape
+predicate reads is frozen for a whole pass, and a lane's next escape
+can be found without committing anything.  An escaping lane re-enters
+the event path at its escape arrival and may then mutate shared
+translation state (faults, access-counter migrations, invalidations),
+so no sibling may commit an access issued after that instant.  Each
+pass therefore
+
+1. **probes** every parked lane whose head issues before the pass cap
+   — read-only, no LRU touch — and takes its *mutation horizon*: the
+   arrival + 1 of its first escaping access when that access issues
+   before the cap; else, when the probe stopped at the
+   ``fastpath_batch_limit`` window, the arrival + 1 of the first
+   unprobed access (it could escape, unseen); else infinity;
+2. lowers the cap, which starts at the next calendar event, to every
+   horizon as it is found (later lanes probe only up to it);
+3. **commits** each probed lane, in park order, up to the cap in a
+   single bite, reusing its probe's issue times.
+
+That is O(lanes) bites per pass; the bite ends only at a real escape,
+the batch window or the next calendar event.
+
+Two kernels compute a probe, bit-identically:
 
 * the **scalar** kernel — a per-access Python loop, always available;
 * the **vectorised** kernel — a numpy block scan over the trace columns
@@ -27,32 +51,29 @@ Two replay kernels implement the identical contract:
   ``y_i = max(y_{i-1}, ring_head_i - prefix_gaps_i)`` — a running
   maximum — and blocks of ``W`` accesses fall to one
   ``np.maximum.accumulate`` each.  The escape predicate is evaluated
-  once per *unique* VPN in the bite (simulator state cannot change
-  mid-replay: the batcher only runs between calendar events), and the
-  first escape index plus a ``searchsorted`` against the event bound
-  cut the bite exactly where the scalar loop would have stopped.
+  once per *unique* VPN of the probe.
 
-numpy is a **soft** dependency: selected at import, with
+Even with numpy, a probe that can cover fewer than :data:`_CROSSOVER`
+accesses (an upper bound from arrivals alone, one ``searchsorted``)
+runs the scalar kernel: numpy's per-call overhead only pays off on
+longer bites.  numpy is a **soft** dependency: selected at import, with
 ``REPRO_NO_NUMPY=1`` forcing the scalar kernel (CI runs the tier-1
 suite both ways so the fallback cannot rot).
 
 Parking protocol
 ----------------
-A lane parks by yielding an Event obtained from :meth:`FastPath.park`.
+A lane parks by yielding an Event obtained from :meth:`FastPath.park`
+while its own GPU's ``driver_busy`` gauge is zero (no fault it raised,
+no invalidation targeting it, no migration it is an endpoint of).
 While parked it owns **no calendar entries** except window-release
 timeouts that were already scheduled before parking; its in-flight
 window is modelled by a ring of release times (at most ``capacity``
 deep).  The engine's :attr:`~repro.sim.engine.Engine.batcher` hook calls
 :meth:`FastPath.try_batch` whenever the ready queue is empty — i.e.
 *between every two calendar events* — and replay is bounded by the next
-calendar event's timestamp.
-
-Parking is gated per GPU (``config.fastpath_per_gpu``, default): a lane
-parks while its own GPU's ``driver_busy`` gauge is zero (no fault it
-raised, no invalidation targeting it, no migration it is an endpoint
-of) and is unparked the round after the gauge rises, so pure-replay
-GPUs keep batching while another GPU migrates.  Setting the knob False
-restores the original whole-driver-idle gate (:meth:`eligible`).
+calendar event's timestamp.  A lane is unparked the round after its
+GPU's gauge rises, so pure-replay GPUs keep batching while another GPU
+migrates.
 
 Unparking succeeds the park event with ``(index, arrival)``.  The lane
 generator resumes at the current (earlier or equal) engine time and
@@ -80,9 +101,10 @@ Equivalence argument (summary; DESIGN.md §8 has the full version)
    fire at a replayed cycle; the moment a gauge rises, the next batcher
    call (which runs before the following event pops) unparks that
    GPU's lanes at the current time.  Third-party migrations are the
-   one episode that can overlap replay under per-GPU parking, and
-   their only cross-GPU-visible state is the gate table — which the
-   replay predicate checks per access.
+   one episode that can overlap replay, and their only cross-GPU-visible
+   state is the gate table — which the replay predicate checks per
+   access.  Episodes a parked lane's own escape starts are kept out of
+   every sibling's committed span by the merge cap.
 4. An unparked lane resumes at or before its next issue time and
    continues on the event path, indistinguishable from a lane that
    never parked.
@@ -97,6 +119,7 @@ turn it off explicitly.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from collections import deque
 from typing import Dict, List, Set
 
@@ -123,6 +146,12 @@ _INF = float("inf")
 #: enough to never win a max against a real timestamp, large enough that
 #: subtracting a prefix sum cannot underflow int64.
 _NEG = -(1 << 62)
+
+#: Probe length (accesses) from which the vectorised kernel beats the
+#: scalar loop: below it numpy's fixed per-call cost dominates.  Measured
+#: on the TLB-resident trace (both kernels timed per probe+commit across
+#: bite lengths); the kernels are bit-identical, so the routing is exact.
+_CROSSOVER = 64
 
 
 class ParkedLane:
@@ -161,63 +190,30 @@ class FastPath:
         self.driver = driver
         self.interconnect = interconnect
         self.batch_limit = max(1, config.fastpath_batch_limit)
-        #: True = numpy block-scan kernel; False = scalar loop (forced
-        #: when numpy is unavailable or REPRO_NO_NUMPY=1).
+        #: True = numpy block-scan kernel for long probes; False = scalar
+        #: loop only (forced when numpy is unavailable or REPRO_NO_NUMPY=1).
         self.vectorised = bool(config.fastpath_vectorised) and np is not None
-        self._replay = self._replay_vectorised if self.vectorised else self._replay_scalar
-        #: True = per-GPU driver_busy park gauges; False = the original
-        #: whole-driver-idle gate.
-        self.per_gpu = bool(config.fastpath_per_gpu)
+        #: probes bounded below this many accesses use the scalar kernel.
+        self.crossover = _CROSSOVER
         self._parked: Dict[object, ParkedLane] = {}
         #: id() of every parked lane's window Resource — identifies
         #: calendar entries (window.release bound methods) that are
         #: benign to consume mid-replay.
         self._parked_windows: Set[int] = set()
+        #: lane → inclusive int64 prefix sums of its gap column, built on
+        #: the lane's first vectorised probe.
+        self._prefix: Dict[object, object] = {}
         # Visibility counters (plain ints, deliberately *not* StatsGroup
         # members: fast-path bookkeeping must never appear in collected
         # results, which are asserted equal to event-path results).
         self.replayed = 0
         self.parks = 0
+        #: non-empty commits; ``replayed / bites`` is the mean bite.
+        self.bites = 0
         # Select the batched drain loop; the hook itself is installed
         # only while lanes are parked (see park/_unpark), so runs with no
         # parking pay one None check per event.
         engine.batch_mode = True
-
-    # ------------------------------------------------------------------
-    # Eligibility
-    # ------------------------------------------------------------------
-
-    def eligible(self) -> bool:
-        """True while no driver episode is in flight anywhere.
-
-        Shootdowns, migration gates and ownership changes — the only
-        mutations of state the replay predicate reads — occur strictly
-        inside driver episodes, and each episode raises one of these
-        gauges in its very first event.  Per-lane concerns (in-flight
-        slow accesses) are the lane's own parking precondition, not a
-        system-wide one.
-        """
-        driver = self.driver
-        if driver._gates or driver._migrating or driver._inflight_invals \
-                or driver._inflight_faults:
-            return False
-        # Chaos campaigns run the hardened protocol, whose in-flight
-        # invalidations live in the tracker rather than the fast-path
-        # ledger.
-        tracker = driver.tracker
-        return tracker is None or not tracker.has_pending()
-
-    def park_ok(self, gpu) -> bool:
-        """May a lane of ``gpu`` park right now?
-
-        Per-GPU mode needs only ``gpu``'s own gauge: episodes touching
-        other GPUs cannot mutate state this GPU's replay predicate reads
-        except through the gate table, which the predicate checks per
-        access.  Global mode keeps the original conservative gate.
-        """
-        if self.per_gpu:
-            return gpu.driver_busy == 0
-        return self.eligible()
 
     # ------------------------------------------------------------------
     # Park / unpark
@@ -300,33 +296,42 @@ class FastPath:
         releases.extend(ring)
         rec.event.succeed((rec.index, rec.arrival))
 
-    def _unpark_all(self) -> None:
-        for rec in list(self._parked.values()):
-            self._unpark(rec)
+    def _escape_test(self, lane):
+        """``escapes(vpn)``: would ``lane``'s next access to ``vpn`` take
+        the slow path right now?  Exactly ``GPU.try_fast_access``'s
+        decision — L1 word present, owner local, no pending IRMB
+        invalidation, no MSHR collision, no migration gate — read-only
+        (no LRU touch)."""
+        gpu = lane.gpu
+        sets = gpu.l1_tlbs[lane.lane_id]._sets
+        nsets = len(sets)
+        owner_of = PhysicalMemory.owner_of
+        ppn = pte_bits.ppn
+        gpu_id = gpu.gpu_id
+        irmb = gpu.irmb
+        irmb_peek = (
+            irmb.peek if irmb is not None and not irmb.is_empty else None
+        )
+        mshr1 = gpu.l1_mshrs[lane.lane_id]._pending
+        mshr2 = gpu.l2_mshr._pending
+        gates = self.driver._gates
+
+        def escapes(vpn) -> bool:
+            word = sets[vpn % nsets].get(vpn)
+            if word is None or owner_of(ppn(word)) != gpu_id:
+                return True
+            if irmb_peek is not None and irmb_peek(vpn):
+                return True
+            if vpn in mshr1 or vpn in mshr2:
+                return True
+            return bool(gates) and vpn in gates
+
+        return escapes
 
     def _head_escapes(self, rec: ParkedLane) -> bool:
-        """Read-only escape probe of ``rec``'s next access — exactly the
-        replay kernels' predicate, with no commit and no LRU touch."""
+        """Read-only escape probe of ``rec``'s next access."""
         lane = rec.lane
-        gpu = lane.gpu
-        if rec.gen != gpu.inval_generation:
-            return True
-        vpn = lane._vpns[rec.index]
-        sets = gpu.l1_tlbs[lane.lane_id]._sets
-        entry_set = sets[0] if len(sets) == 1 else sets[vpn % len(sets)]
-        word = entry_set.get(vpn)
-        if word is None or PhysicalMemory.owner_of(pte_bits.ppn(word)) != gpu.gpu_id:
-            return True
-        irmb = gpu.irmb
-        if irmb is not None and not irmb.is_empty and irmb.peek(vpn):
-            return True
-        if (
-            vpn in gpu.l1_mshrs[lane.lane_id]._pending
-            or vpn in gpu.l2_mshr._pending
-        ):
-            return True
-        gates = self.driver._gates
-        return bool(gates) and vpn in gates
+        return self._escape_test(lane)(lane._vpns[rec.index])
 
     @staticmethod
     def _head_issue(rec: ParkedLane) -> int:
@@ -353,82 +358,45 @@ class FastPath:
         engine = self.engine
         heap = engine._heap
         parked_windows = self._parked_windows
-        per_gpu = self.per_gpu
+        head_issue = self._head_issue
+        probe = self._probe
+        commit = self._commit
         while True:
+            # Evict only lanes whose own GPU became busy; the rest keep
+            # batching through the episode.
             unparked = False
-            if per_gpu:
-                # Evict only lanes whose own GPU became busy; the rest
-                # keep batching through the episode.
-                for rec in list(parked.values()):
-                    if rec.lane.gpu.driver_busy:
-                        self._unpark(rec)
-                        unparked = True
-            elif not self.eligible():
-                self._unpark_all()
-                return True
+            for rec in list(parked.values()):
+                gpu = rec.lane.gpu
+                if gpu.driver_busy or rec.gen != gpu.inval_generation:
+                    self._unpark(rec)
+                    unparked = True
             if unparked:
                 return True
             bound = heap[0][0] if heap else _INF
+            # Escape-lookahead merge (module docstring): probe, lower the
+            # cap to every mutation horizon, then commit each lane to the
+            # cap.  A lane whose head issues at or past the running cap
+            # can neither commit nor escape this pass.
+            cap = bound
+            probes = []
+            for rec in parked.values():
+                if head_issue(rec) < cap:
+                    issues, esc, horizon = probe(rec, cap)
+                    if horizon < cap:
+                        cap = horizon
+                    probes.append((rec, issues, esc))
             work = 0
-            # Merge discipline: commit replayed accesses in globally
-            # nondecreasing issue order across all parked lanes.  A
-            # parked lane's escape re-enters the event path at its
-            # escape arrival and can mutate shared translation state
-            # (access-counter migrations, faults, invalidations) that
-            # the escape predicate snapshots per bite — so no lane may
-            # replay past another parked lane's next issue time.  The
-            # calendar bound alone cannot see those future escapes:
-            # parked lanes have no heap entries beyond consumed window
-            # releases.  Each round picks the lane with the earliest
-            # pending issue and replays it up to the runner-up's head
-            # (ties advance one issue instant: state mutations from a
-            # concurrently-issued slow access always land strictly
-            # after its issue time, so same-instant replays are exact).
-            head_issue = self._head_issue
-            esc_cap = _INF
-            while parked:
-                best = None
-                best_h = _INF
-                second = _INF
-                for rec in parked.values():
-                    h = head_issue(rec)
-                    if h < best_h:
-                        second = best_h
-                        best_h = h
-                        best = rec
-                    elif h < second:
-                        second = h
-                if second <= best_h:
-                    second = best_h + 1
-                cap = bound if bound < second else second
-                if esc_cap < cap:
-                    cap = esc_cap
-                n = self._replay(best, cap)
-                work += n
-                if best.lane not in parked:
+            for rec, issues, esc in probes:
+                work += commit(rec, issues, esc, cap)
+                if rec.lane not in parked:
                     unparked = True
-                    if best.index < best.lane._n:
-                        # Escape (not end-of-trace): the lane re-enters
-                        # the event path at ``arrival`` and may mutate
-                        # shared state strictly after that instant —
-                        # siblings may still commit through it, but not
-                        # beyond.  Probing them now (rather than after
-                        # the resumed lane runs) also keeps same-instant
-                        # escapes unparking in park order, preserving
-                        # the event path's sequence numbering.
-                        a = best.arrival + 1
-                        if a < esc_cap:
-                            esc_cap = a
-                    continue
-                if n == 0:
-                    break
             # Discovery pass: escapes must be found (and their resumes
             # scheduled) as early as possible so the resume wake-ups
             # carry sequence numbers close to the ones the event path
             # assigned when the lanes originally blocked — otherwise
             # same-instant wake-ups drain in the wrong order.  Probe
             # every lane still parked against the pass-start bound,
-            # read-only: commits above respect the merge caps, the
+            # read-only: commits above respect the merge cap, the
             # probe only asks "would the head access take the slow
             # path right now?".
             head_escapes = self._head_escapes
@@ -448,177 +416,194 @@ class FastPath:
                     engine.run_batch_until(entry[0])
                     continue
             if work:
-                continue  # batch-limit chunking: take another bite
+                continue  # cap or batch window cut a bite: take another
             return False
 
+    def _probe(self, rec: ParkedLane, bound):
+        """Read-only lookahead of ``rec``'s lane up to ``bound``.
+
+        Returns ``(issues, esc, horizon)``: the issue times (all below
+        ``bound``, nondecreasing) of the accesses the lane would replay
+        from its head within one batch window, where ``esc`` marks the
+        last of them as the lane's first escaping access, and the lane's
+        mutation horizon (module docstring)."""
+        lane = rec.lane
+        i0 = rec.index
+        n = lane._n
+        limit = self.batch_limit
+        navail = n - i0 if n - i0 < limit else limit
+        if self.vectorised:
+            prefix = self._prefix.get(lane)
+            if prefix is None:
+                prefix = self._prefix[lane] = np.add.accumulate(
+                    lane.trace.columns64()[0]
+                )
+            base = int(prefix[i0 - 1]) if i0 else 0
+            # issue_j >= arrival_0 + (S_j - g_0) with S_j the in-probe gap
+            # prefix sum (arrivals alone, ignoring the window), so indices
+            # whose prefix already reaches the bound can never replay:
+            # cut the probe to the work actually available.
+            navail = int(np.searchsorted(
+                prefix[i0:i0 + navail],
+                bound - rec.arrival + lane._gaps[i0] + base,
+                side="left",
+            ))
+            if navail >= self.crossover:
+                issues, esc = self._probe_vectorised(rec, bound, navail,
+                                                     prefix, base)
+            else:
+                issues, esc = self._probe_scalar(rec, bound, navail)
+        else:
+            issues, esc = self._probe_scalar(rec, bound, navail)
+        m = len(issues)
+        gaps = lane._gaps
+        if esc:
+            arrival = int(issues[m - 2]) + gaps[i0 + m - 1] if m > 1 else rec.arrival
+            horizon = arrival + 1
+        elif m == limit and i0 + m < n:
+            horizon = int(issues[m - 1]) + gaps[i0 + m] + 1
+        else:
+            horizon = _INF
+        return issues, esc, horizon
+
+    def _commit(self, rec: ParkedLane, issues, esc: bool, cap) -> int:
+        """Replay the probed accesses that issue before ``cap``: exactly
+        ``GPU.try_fast_access``'s side effects, in bulk.  Unparks the
+        lane when its escaping access issues before ``cap`` or its trace
+        ends.  Returns the number of accesses replayed."""
+        lane = rec.lane
+        m = len(issues)
+        count = m if m == 0 or issues[m - 1] < cap else bisect_left(issues, cap)
+        escaped = esc and count == m
+        if escaped:
+            count -= 1
+        if count:
+            gpu = lane.gpu
+            i0 = rec.index
+            i = i0 + count
+            gaps = lane._gaps
+            sets = gpu.l1_tlbs[lane.lane_id]._sets
+            nsets = len(sets)
+            latency = gpu._fast_latency
+            if type(issues) is list:
+                # Scalar-kernel probe: per-access LRU refreshes, as the
+                # event path makes them.
+                for vpn in lane._vpns[i0:i]:
+                    sets[vpn % nsets].move_to_end(vpn)
+                instructions = sum(gaps[i0:i])
+                released = [t + latency for t in issues[:count]]
+            else:
+                # Vectorised probe: one move_to_end per unique replayed
+                # VPN, in ascending order of last occurrence (the net
+                # effect of the per-access refreshes).
+                vc = lane.trace.columns64()[1][i0:i]
+                ruline, rfirst = np.unique(vc[::-1], return_index=True)
+                for k in np.argsort(rfirst)[::-1].tolist():
+                    vpn = int(ruline[k])
+                    sets[vpn % nsets].move_to_end(vpn)
+                prefix = self._prefix[lane]
+                instructions = int(prefix[i - 1]) - (int(prefix[i0 - 1]) if i0 else 0)
+                released = (issues[:count] + latency).tolist()
+            gpu.instructions += instructions + count
+            gpu.l1_tlbs[lane.lane_id]._hits.value += count
+            gpu._n_local.value += count
+            gpu._n_completed.value += count
+            self.replayed += count
+            self.bites += 1
+            # Ring: the last min(len + count, capacity) releases of
+            # [old ring..., released...]; popped entries leave the
+            # calendar-backed prefix first.
+            ring = rec.ring
+            capacity = lane._capacity
+            pops = len(ring) + count - capacity
+            if pops >= len(ring):
+                rec.ring = deque(released[count - capacity:])
+                rec.backed = 0
+            elif pops > 0:
+                for _ in range(pops):
+                    ring.popleft()
+                ring.extend(released)
+                rec.backed = rec.backed - pops if rec.backed > pops else 0
+            else:
+                ring.extend(released)
+            rec.index = i
+            if i < lane._n:
+                rec.arrival = int(issues[count - 1]) + gaps[i]
+            elif count >= 2:
+                # End of trace: the arrival stays the last access's own
+                # (never consumed, but checkpoints snapshot it).
+                rec.arrival = int(issues[count - 2]) + gaps[i - 1]
+        if escaped or rec.index >= lane._n:
+            self._unpark(rec)
+        return count
+
     # ------------------------------------------------------------------
-    # Scalar replay kernel (always available)
+    # Scalar probe kernel (always available)
     # ------------------------------------------------------------------
 
-    def _replay_scalar(self, rec: ParkedLane, bound) -> int:
-        """Replay ``rec``'s lane arithmetically until ``bound``, an
-        escape, the batch limit, or end of trace.  Returns the number of
-        accesses replayed."""
+    def _probe_scalar(self, rec: ParkedLane, bound, navail: int):
+        """Walk the window recurrence access by access from ``rec``'s
+        head: stop at the first issue at or past ``bound`` (tested before
+        the predicate), at the first escaping access (included, flagged)
+        or after ``navail`` accesses."""
         lane = rec.lane
-        gpu = lane.gpu
-        if rec.gen != gpu.inval_generation:
-            self._unpark(rec)
-            return 0
+        i0 = rec.index
         gaps = lane._gaps
         vpns = lane._vpns
-        n = lane._n
-        i = rec.index
+        escapes = self._escape_test(lane)
+        ring = list(rec.ring)
+        backlog = len(ring)
+        # Access j waits on element j - slack of [ring..., releases of
+        # this probe...] once the window is full.
+        slack = lane._capacity - backlog
+        latency = lane.gpu._fast_latency
         arrival = rec.arrival
-        ring = rec.ring
-        backed = rec.backed
-        capacity = lane._capacity
-        fast_latency = gpu._fast_latency
-        l1 = gpu.l1_tlbs[lane.lane_id]
-        sets = l1._sets
-        nsets = len(sets)
-        single = sets[0] if nsets == 1 else None
-        owner_of = PhysicalMemory.owner_of
-        ppn = pte_bits.ppn
-        gpu_id = gpu.gpu_id
-        irmb = gpu.irmb
-        irmb_peek = (
-            irmb.peek if irmb is not None and not irmb.is_empty else None
-        )
-        mshr1 = gpu.l1_mshrs[lane.lane_id]._pending
-        mshr2 = gpu.l2_mshr._pending
-        gates = self.driver._gates
-        ring_pop = ring.popleft
-        ring_push = ring.append
-        limit = self.batch_limit
-        count = 0
-        instructions = 0
-        escaped = False
-        while count < limit:
-            if len(ring) >= capacity:
-                head = ring[0]
+        issues: List[int] = []
+        push = issues.append
+        j = 0
+        while j < navail:
+            k = j - slack
+            if k >= 0:
+                head = ring[k] if k < backlog else issues[k - backlog] + latency
                 issue = head if head > arrival else arrival
             else:
                 issue = arrival
             if issue >= bound:
                 break
-            vpn = vpns[i]
-            entry_set = single if single is not None else sets[vpn % nsets]
-            word = entry_set.get(vpn)
-            if (
-                word is None
-                or owner_of(ppn(word)) != gpu_id
-                or (irmb_peek is not None and irmb_peek(vpn))
-                or vpn in mshr1
-                or vpn in mshr2
-                or (gates and vpn in gates)
-            ):
-                escaped = True
-                break
-            # Exactly try_fast_access's side effects, in bulk.
-            entry_set.move_to_end(vpn)
-            if len(ring) >= capacity:
-                ring_pop()
-                if backed:
-                    backed -= 1
-            ring_push(issue + fast_latency)
-            instructions += gaps[i] + 1
-            count += 1
-            i += 1
-            if i >= n:
-                break
-            arrival = issue + gaps[i]
-        if count:
-            gpu.instructions += instructions
-            l1._hits.value += count
-            gpu._n_local.value += count
-            gpu._n_completed.value += count
-            self.replayed += count
-        rec.index = i
-        rec.arrival = arrival
-        rec.backed = backed
-        if escaped or i >= n:
-            self._unpark(rec)
-        return count
+            push(issue)
+            if escapes(vpns[i0 + j]):
+                return issues, True
+            j += 1
+            if j < navail:
+                arrival = issue + gaps[i0 + j]
+        return issues, False
 
     # ------------------------------------------------------------------
-    # Vectorised replay kernel (numpy block scan)
+    # Vectorised probe kernel (numpy block scan)
     # ------------------------------------------------------------------
 
-    def _replay_vectorised(self, rec: ParkedLane, bound) -> int:
-        """Bit-for-bit the scalar kernel's contract, as a numpy block
-        scan: the same accesses replay, the same escape fires, and every
-        piece of bookkeeping (ring, arrival, backed, counters, L1 LRU
-        order) matches the scalar loop's final state exactly.
-
-        Shape: evaluate the escape predicate once per unique VPN of the
-        bite (state is frozen mid-replay), solve the window recurrence
-        in blocks of ``W = capacity`` via a running maximum on
-        ``issue - prefix_gaps``, then cut at ``min(first predicate
-        failure, first issue >= bound, batch limit, end of trace)`` —
-        testing the bound *before* the predicate at the cut index, as
-        the scalar loop does.
-        """
+    def _probe_vectorised(self, rec: ParkedLane, bound, navail: int,
+                          prefix, base: int):
+        """Bit-for-bit :meth:`_probe_scalar`'s result, as a numpy block
+        scan: evaluate the escape predicate once per unique VPN (state
+        is frozen for the pass), solve the window recurrence in blocks
+        of ``W = capacity`` via a running maximum on ``issue -
+        prefix_gaps``, then cut at ``min(first predicate failure, first
+        issue >= bound)`` — testing the bound *before* the predicate at
+        the cut index, as the scalar loop does."""
         lane = rec.lane
-        gpu = lane.gpu
-        if rec.gen != gpu.inval_generation:
-            self._unpark(rec)
-            return 0
         i0 = rec.index
-        n = lane._n
-        navail = n - i0
-        limit = self.batch_limit
-        if navail > limit:
-            navail = limit
         gaps_np, vpns_np = lane.trace.columns64()
         g = gaps_np[i0:i0 + navail]
-
-        # --- bound pre-cut ---------------------------------------------
-        # issue_j >= arrival_0 + (S_j - g_0) (arrivals alone, ignoring
-        # the window), so indices whose gap prefix sum already reaches
-        # the bound can never replay this round.  Trimming the bite here
-        # keeps the per-call cost proportional to the work actually
-        # available — the bound is often one window-release away.
-        S = np.add.accumulate(g)
-        jcap = int(np.searchsorted(S, bound - rec.arrival + int(g[0]),
-                                   side="left"))
-        if jcap == 0:
-            return 0
-        if jcap < navail:
-            navail = jcap
-            g = g[:navail]
-            S = S[:navail]
+        S = prefix[i0:i0 + navail] - base
         v = vpns_np[i0:i0 + navail]
 
-        # --- escape predicate, once per unique VPN of the bite --------
-        l1 = gpu.l1_tlbs[lane.lane_id]
-        sets = l1._sets
-        nsets = len(sets)
-        single = sets[0] if nsets == 1 else None
-        owner_of = PhysicalMemory.owner_of
-        ppn = pte_bits.ppn
-        gpu_id = gpu.gpu_id
-        irmb = gpu.irmb
-        irmb_peek = (
-            irmb.peek if irmb is not None and not irmb.is_empty else None
-        )
-        mshr1 = gpu.l1_mshrs[lane.lane_id]._pending
-        mshr2 = gpu.l2_mshr._pending
-        gates = self.driver._gates
-
+        # --- escape predicate, once per unique VPN --------------------
+        escapes = self._escape_test(lane)
         uniq, inverse = np.unique(v, return_inverse=True)
-        ok = np.empty(len(uniq), dtype=bool)
-        for k, vpn in enumerate(uniq.tolist()):
-            entry_set = single if single is not None else sets[vpn % nsets]
-            word = entry_set.get(vpn)
-            ok[k] = (
-                word is not None
-                and owner_of(ppn(word)) == gpu_id
-                and not (irmb_peek is not None and irmb_peek(vpn))
-                and vpn not in mshr1
-                and vpn not in mshr2
-                and not (gates and vpn in gates)
-            )
-        bad = ~ok[inverse]
+        bad = np.fromiter(
+            (escapes(vpn) for vpn in uniq.tolist()), dtype=bool, count=len(uniq)
+        )[inverse]
         fb = int(np.argmax(bad)) if bad.any() else navail
 
         # --- window recurrence over [0, M): issues of every candidate
@@ -626,7 +611,7 @@ class FastPath:
         # decides bound-break vs escape exactly as the scalar loop does.
         M = fb + 1 if fb < navail else navail
         capacity = lane._capacity
-        fast_latency = gpu._fast_latency
+        fast_latency = lane.gpu._fast_latency
         B = len(rec.ring)
         issue = None
         if B == capacity:
@@ -637,7 +622,7 @@ class FastPath:
             # vectorised verification (arrival_0 <= c_0 and
             # c_j - c_{j-1} >= g_j, which by induction makes every
             # arrival land at or below its ring head) replaces the block
-            # scan with a handful of whole-bite ufuncs — and in replay
+            # scan with a handful of whole-probe ufuncs — and in replay
             # steady state (small gaps, full ring) it almost always
             # holds.  Any miss falls back to the exact block scan.
             ncop = -(-M // capacity)
@@ -659,7 +644,7 @@ class FastPath:
             if M > slack:
                 take = min(M - slack, B)
                 head[slack:slack + take] = list(rec.ring)[:take]
-            # head[j] for j >= capacity is this bite's own release
+            # head[j] for j >= capacity is this probe's own release
             # j-capacity, filled block-by-block below.  y = issue - S
             # obeys y_j = max(y_{j-1}, head_j - S_j); carry seeds
             # arrival_0.
@@ -681,56 +666,6 @@ class FastPath:
                 carry = issue[end - 1] - S[end - 1]
                 pos = end
 
-        # --- cut: first issue at/past the next calendar event ---------
+        # --- cut: first issue at/past the bound -----------------------
         cut = int(np.searchsorted(issue, bound, side="left"))
-        if fb < navail:
-            if cut <= fb:
-                count, escaped = cut, False   # bound breaks first
-            else:
-                count, escaped = fb, True
-        else:
-            count, escaped = cut, False
-
-        if count:
-            # --- side effects, exactly the scalar loop's -------------
-            # L1 LRU: per unique replayed VPN, one move_to_end in
-            # ascending order of last occurrence (the net effect of the
-            # scalar loop's per-access refreshes).
-            vc = v[:count]
-            ruline, rfirst = np.unique(vc[::-1], return_index=True)
-            for k in np.argsort(rfirst)[::-1].tolist():
-                vpn = int(ruline[k])
-                entry_set = single if single is not None else sets[vpn % nsets]
-                entry_set.move_to_end(vpn)
-            gpu.instructions += int(S[count - 1]) + count
-            l1._hits.value += count
-            gpu._n_local.value += count
-            gpu._n_completed.value += count
-            self.replayed += count
-            # Ring rebuild: the last min(B + count, capacity) releases of
-            # [old ring..., issue_0 + L, ..., issue_{count-1} + L].
-            total = B + count
-            pops = total - capacity if total > capacity else 0
-            if pops >= B:
-                rec.ring = deque(
-                    (issue[count - capacity:count] + fast_latency).tolist()
-                )
-                rec.backed = 0
-            else:
-                ring = rec.ring
-                for _ in range(pops):
-                    ring.popleft()
-                ring.extend((issue[:count] + fast_latency).tolist())
-                rec.backed = rec.backed - pops if rec.backed > pops else 0
-            i = i0 + count
-            rec.index = i
-            if i < n:
-                rec.arrival = int(issue[count - 1]) + int(gaps_np[i])
-            elif count >= 2:
-                # End of trace: the scalar loop leaves ``arrival`` at the
-                # last access's own arrival (mirrored for checkpoint
-                # byte-equality; the value is never consumed).
-                rec.arrival = int(issue[count - 2]) + int(g[count - 1])
-        if escaped or rec.index >= n:
-            self._unpark(rec)
-        return count
+        return issue[:cut], fb < navail and cut > fb

@@ -14,7 +14,8 @@ from dataclasses import asdict, replace
 
 import pytest
 
-from repro.config import InvalidationScheme, baseline_config
+from repro.config import InvalidationScheme, SystemConfig, baseline_config
+from repro.gpu import fastpath
 from repro.gpu.system import MultiGPUSystem
 from repro.sim.trace import TraceRecorder
 from repro.workloads.base import Workload
@@ -146,7 +147,7 @@ class TestEngagement:
 
 
 class TestReplayKernelCorners:
-    """Degenerate shapes the vectorised kernel and per-GPU parking must
+    """Degenerate shapes both replay kernels and the lookahead merge must
     survive bit-for-bit: pathological batch limits, empty and
     single-access lanes, wide topologies, and every knob combination."""
 
@@ -164,15 +165,20 @@ class TestReplayKernelCorners:
         self._assert_equivalent(config, random_workload(17, 2))
 
     @pytest.mark.parametrize("vectorised", [False, True])
-    @pytest.mark.parametrize("per_gpu", [False, True])
+    @pytest.mark.parametrize("windowed", [False, True])
     @pytest.mark.parametrize("seed", [3, 8])
-    def test_kernel_knob_matrix(self, vectorised, per_gpu, seed):
-        """Equivalence must hold for every (kernel, parking-gate)
-        combination, not just the defaults."""
+    def test_kernel_knob_matrix(self, vectorised, windowed, seed, monkeypatch):
+        """Equivalence must hold for every (kernel, lookahead window)
+        combination, not just the defaults.  The vectorised leg runs
+        numpy on every probe (these lanes are shorter than the kernel
+        crossover); the windowed leg cuts probes at 3 accesses so the
+        window horizon caps sibling commits."""
+        if vectorised:
+            monkeypatch.setattr(fastpath, "_CROSSOVER", 1)
         config = replace(
             small_config(2),
             fastpath_vectorised=vectorised,
-            fastpath_per_gpu=per_gpu,
+            fastpath_batch_limit=3 if windowed else 4096,
         )
         self._assert_equivalent(config, random_workload(seed, 2))
 
@@ -196,6 +202,58 @@ class TestReplayKernelCorners:
         self._assert_equivalent(config, random_workload(3, 8))
         config = small_config(8, InvalidationScheme.BROADCAST)
         self._assert_equivalent(config, random_workload(4, 8))
+
+
+class TestLookaheadMerge:
+    """The escape-lookahead merge: one bite per lane per pass, and no
+    lane commits past a sibling's escape — including one that lies past
+    the sibling's probe window."""
+
+    def test_window_horizon_caps_siblings(self):
+        """GPU 1's lane replays hits on page X every 1 000 cycles.  GPU 0's
+        lane makes one remote access to X, settles, replays its private
+        page P, then makes the second remote access to X that crosses
+        the migration threshold.  With a 3-access window, GPU 0's probe
+        stops just short of that access while GPU 1's probe reaches far
+        past it.  Unless the window horizon caps GPU 1's commit, GPU 1
+        replays L1 hits on X through the migration that moves X away
+        (six stats fields diverge)."""
+        x = BASE_VPN
+        p = BASE_VPN + 1
+        gpu0 = (
+            [(0, p, False), (20_000, x, False), (3_000, p, False)]
+            + [(20, p, False)] * 6
+            + [(20, x, False)]
+            + [(20, p, False)] * 4
+        )
+        gpu1 = [(0, x, False)] + [(1_000, x, False)] * 60
+        workload = Workload(name="horizon", traces=[[gpu0], [gpu1]])
+        config = SystemConfig(
+            num_gpus=2,
+            invalidation_scheme=InvalidationScheme.IDYLL,
+            fastpath_batch_limit=3,
+        )
+        system, fast = run_stats(config, workload)
+        assert system.fastpath.replayed > 0.5 * fast["accesses"]
+        _, slow = run_stats(config.with_fastpath(False), workload)
+        diff = {k: (fast[k], slow[k]) for k in fast if fast[k] != slow[k]}
+        assert not diff, f"fastpath changed observable stats: {diff}"
+
+    def test_bites_are_long(self):
+        """On ``repro bench``'s TLB-resident workload (quick size) the
+        mean bite must be long.  Replaying the earliest lane only up to
+        the runner-up's head — a merge serialised to one access per
+        bite — fails this.  It is a count, not a timing."""
+        from repro.bench import _tlb_resident_workload
+
+        workload = _tlb_resident_workload(num_gpus=4, lanes=4, accesses=5_000, pages=16)
+        config = baseline_config(4).with_scheme(InvalidationScheme.IDYLL)
+        system, fast = run_stats(config, workload)
+        fp = system.fastpath
+        assert fp.bites > 0
+        assert fp.replayed / fp.bites >= 50, (fp.replayed, fp.bites)
+        _, slow = run_stats(config.with_fastpath(False), workload)
+        assert fast == slow
 
 
 class TestCheckpointMidBatch:

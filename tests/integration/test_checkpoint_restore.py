@@ -136,9 +136,11 @@ class TestDivergenceRegression:
     did not), and checkpoint resumes — whose replay bites are cut
     differently by controller calendar entries — converged to a
     different fixed point.  Fixed by the merge discipline in
-    ``FastPath.try_batch``: commits advance in globally nondecreasing
-    issue order across parked lanes, with escapes still discovered (and
-    their resumes sequenced) at pass-start time.
+    ``FastPath.try_batch``: each pass probes every parked lane
+    read-only for its mutation horizon (the arrival + 1 of its first
+    escaping access, or of the first access past its probe window) and
+    commits no lane past the smallest horizon, with escapes still
+    discovered (and their resumes sequenced) at pass-start time.
     """
 
     SHARED_BASE = 1 << 20

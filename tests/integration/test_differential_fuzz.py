@@ -29,7 +29,7 @@ from repro.experiments.fuzz import (
     random_specs,
     run_variants,
 )
-from repro.gpu.fastpath import FastPath
+from repro.gpu.fastpath import HAVE_NUMPY, FastPath
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -57,15 +57,15 @@ class TestDetection:
     """The harness must detect a broken kernel, not just pass clean ones."""
 
     def test_sabotaged_kernel_is_caught(self, monkeypatch):
-        real = FastPath._replay_scalar
+        real = FastPath._commit
 
-        def sabotaged(self, rec, bound):
-            count = real(self, rec, bound)
+        def sabotaged(self, rec, issues, esc, cap):
+            count = real(self, rec, issues, esc, cap)
             if count:
                 rec.lane.gpu.instructions += 1  # drift one counter
             return count
 
-        monkeypatch.setattr(FastPath, "_replay_scalar", sabotaged)
+        monkeypatch.setattr(FastPath, "_commit", sabotaged)
         # Private-only pages: the lanes park and replay heavily, so the
         # sabotage is guaranteed to fire.
         spec = FuzzSpec(seed=123, num_gpus=2, accesses=200,
@@ -76,14 +76,14 @@ class TestDetection:
         assert spec.to_json() in report
 
     def test_sabotage_report_names_the_tier(self, monkeypatch):
-        real = FastPath._replay_scalar
+        real = FastPath._commit
 
-        def sabotaged(self, rec, bound):
-            count = real(self, rec, bound)
+        def sabotaged(self, rec, issues, esc, cap):
+            count = real(self, rec, issues, esc, cap)
             rec.lane.gpu._n_local.value += count  # double-count locals
             return count
 
-        monkeypatch.setattr(FastPath, "_replay_scalar", sabotaged)
+        monkeypatch.setattr(FastPath, "_commit", sabotaged)
         report = check_spec(FuzzSpec(seed=7, num_gpus=2, accesses=200,
                                      shared_pages=0, private_pages=4))
         assert report is not None and "scalar vs event" in report
@@ -101,8 +101,8 @@ class TestSpecPlumbing:
 
     def test_variants_include_reference_tier(self):
         results = run_variants(FuzzSpec(seed=4, num_gpus=1, accesses=8))
-        assert "event" in results and "scalar" in results
-        assert "global" in results
+        tiers = {"event", "scalar"} | ({"vector"} if HAVE_NUMPY else set())
+        assert set(results) == tiers
 
     def test_cli_spec_replay(self, capsys):
         spec = FuzzSpec(seed=11, num_gpus=2, accesses=20)
