@@ -20,7 +20,8 @@ RSS of the process so memory regressions surface too.
 and fails (exit 1) when any benchmark's best wall time regressed more
 than ``--threshold`` (default 10%).  Wall times only compare within one
 machine class — CI compares CI-produced baselines, a laptop compares
-laptop runs.
+laptop runs.  The replay benchmark is gated instead on its in-process
+fast-path/event-path ratio, which holds across hosts.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 __all__ = ["BENCHMARKS", "run_benchmarks", "compare_benchmarks", "main"]
+
+#: floor on a replay benchmark's in-process fast-path/event-path ratio
+#: (``vs_event_speedup``), gated by :func:`compare_benchmarks`.
+MIN_VS_EVENT_SPEEDUP = 3.0
 
 #: name → builder returning (ops, run_callable); registered below.
 BENCHMARKS: Dict[str, Callable] = {}
@@ -123,7 +128,8 @@ def bench_fastpath_batch_replay(quick: bool = False) -> Dict[str, float]:
     ``bites`` in how many commits (``mean_bite`` = replayed / bites),
     and ``vs_event_speedup`` the event path's wall time over the
     default's on the same trace in this process — a same-host ratio,
-    unlike ``wall_s``.  All fields but ``wall_s`` are informational."""
+    unlike ``wall_s``, and the field ``--compare`` gates on (at least
+    :data:`MIN_VS_EVENT_SPEEDUP`)."""
     from .config import InvalidationScheme, baseline_config
     from .gpu.system import MultiGPUSystem
 
@@ -344,8 +350,12 @@ def compare_benchmarks(
     """Compare ``current`` records against committed ``BENCH_*.json``
     files; returns human-readable regression messages (empty = pass).
 
-    Only **wall time** is gated: a benchmark regresses when its best
-    ``wall_s`` exceeds the baseline's by more than ``threshold``.
+    A record carrying ``vs_event_speedup`` (fast path vs event path on
+    the same trace, in one process) regresses when that ratio falls
+    below :data:`MIN_VS_EVENT_SPEEDUP`, whatever its wall time or
+    baseline.  Every other record is gated on **wall time**: it
+    regresses when its best ``wall_s`` exceeds the baseline's by more
+    than ``threshold``.
     Throughput (``ops_per_s``) and peak RSS deltas are printed as
     **advisory** context on the same line — they explain *why* wall
     time moved (more work per second vs more memory pressure) — but
@@ -359,6 +369,17 @@ def compare_benchmarks(
     regressions: List[str] = []
     baseline_dir = Path(baseline_dir)
     for name, record in sorted(current.items()):
+        if "vs_event_speedup" in record:
+            speedup = record["vs_event_speedup"]
+            verdict = "ok"
+            if speedup < MIN_VS_EVENT_SPEEDUP:
+                verdict = "REGRESSION"
+                regressions.append(
+                    f"{name}: {speedup:.2f}x the event path, floor "
+                    f"{MIN_VS_EVENT_SPEEDUP:.1f}x"
+                )
+            print(f"{name:<22} {speedup:5.2f}x vs event path   {verdict}")
+            continue
         path = baseline_dir / f"BENCH_{name}.json"
         if not path.exists():
             print(f"{name:<22} no baseline at {path} (skipped)")

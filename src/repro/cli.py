@@ -256,7 +256,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threshold",
         type=float,
         default=0.10,
-        help="allowed fractional wall-time growth before failing (default 0.10)",
+        help="allowed fractional wall-time growth before failing (default "
+        "0.10); the replay benchmark gates on its event-path ratio instead",
     )
 
     golden = sub.add_parser("golden", help="golden event-trace fixtures")
@@ -390,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz = sub.add_parser(
         "fuzz",
         help="differential fuzzing of the replay tiers "
-        "(event path vs batched vs vectorised)",
+        "(event path vs batched fast path)",
     )
     fuzz.add_argument(
         "--runs", type=int, default=50, help="number of random cases"
@@ -924,9 +925,8 @@ def _cmd_chaos(args) -> int:
 
 def _cmd_fuzz(args) -> int:
     from .experiments.fuzz import FuzzSpec, check_spec, fuzz
-    from .gpu.fastpath import HAVE_NUMPY
 
-    kernels = "event/scalar" + ("/vector" if HAVE_NUMPY else "")
+    kernels = "event/fastpath"
     if args.spec:
         spec = FuzzSpec.from_json(args.spec)
         report = check_spec(spec)

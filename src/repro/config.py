@@ -479,11 +479,6 @@ class SystemConfig:
     #: per lane in one merge pass; part of the cache key so tuning it can
     #: never serve stale results.
     fastpath_batch_limit: int = 4096
-    #: replay parked runs with the numpy block-scan kernel instead of the
-    #: scalar per-access loop (DESIGN.md §8.6).  Silently degrades to the
-    #: scalar loop when numpy is unavailable or ``REPRO_NO_NUMPY=1``;
-    #: results are identical either way.
-    fastpath_vectorised: bool = True
 
     #: local DRAM access latency (cycles) for data and page-table reads.
     dram_latency: int = 100

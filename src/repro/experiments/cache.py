@@ -158,9 +158,9 @@ def cache_key(
 
     The whole ``SystemConfig`` is folded in via ``asdict``, so every
     new knob — including replay-tier selection like
-    ``fastpath_vectorised`` — invalidates cached results automatically;
+    ``fastpath_enabled`` — invalidates cached results automatically;
     results must never be shared across replay tiers even though the
-    tiers are equivalence-tested, because a kernel bug would otherwise
+    tiers are equivalence-tested, because a replay bug would otherwise
     be *served from cache* after the fix.
     """
     payload = {

@@ -1,14 +1,13 @@
 """Differential fuzzing of the replay tiers.
 
 The two-tier replay core promises observational equivalence: for any
-workload and configuration, the pure event path, the scalar batched
-fast path and the vectorised replay kernel produce *identical*
-collected statistics, field for field.  The 20-seed suite in
-``tests/gpu/test_fastpath.py`` checks hand-picked corners; this module
-is the adversarial arm — it draws random ``(config, seed, topology)``
-triples from a much wider space (degenerate batch limits, single-entry
-windows, empty and single-access lanes, 1–8 GPUs, both invalidation
-schemes) and diffs every variant pair.
+workload and configuration, the pure event path and the batched fast
+path produce *identical* collected statistics, field for field.  The
+20-seed suite in ``tests/gpu/test_fastpath.py`` checks hand-picked
+corners; this module is the adversarial arm — it draws random
+``(config, seed, topology)`` triples from a much wider space
+(degenerate batch limits, single-entry windows, empty and single-access
+lanes, 1–8 GPUs, both invalidation schemes) and diffs the two.
 
 On a mismatch the harness prints a **minimal repro spec**: a one-line
 JSON document that replays the exact failing triple via
@@ -18,11 +17,8 @@ whole campaign.
 
 Variants compared per spec:
 
-* ``event``   — fast path disabled (the reference tier);
-* ``scalar``  — batched fast path, scalar kernel only;
-* ``vector``  — numpy vectorised kernel on every probe, whatever its
-  length (skipped when numpy is unavailable, e.g. under
-  ``REPRO_NO_NUMPY=1``).
+* ``event``    — fast path disabled (the reference tier);
+* ``fastpath`` — batched fast-path replay (the default configuration).
 """
 
 from __future__ import annotations
@@ -113,17 +109,7 @@ def _variant_configs(spec: FuzzSpec) -> List[Tuple[str, object]]:
         inflight_per_cu=spec.inflight_per_cu,
         fastpath_batch_limit=spec.batch_limit,
     )
-    variants: List[Tuple[str, object]] = [
-        ("event", base.with_fastpath(False)),
-        ("scalar", dataclasses.replace(base, fastpath_vectorised=False)),
-    ]
-    from ..gpu.fastpath import HAVE_NUMPY
-
-    if HAVE_NUMPY:
-        variants.append(
-            ("vector", dataclasses.replace(base, fastpath_vectorised=True))
-        )
-    return variants
+    return [("event", base.with_fastpath(False)), ("fastpath", base)]
 
 
 def run_variants(spec: FuzzSpec) -> Dict[str, Dict[str, object]]:
@@ -135,38 +121,23 @@ def run_variants(spec: FuzzSpec) -> Dict[str, Dict[str, object]]:
     out: Dict[str, Dict[str, object]] = {}
     for label, config in _variant_configs(spec):
         system = MultiGPUSystem(config, seed=spec.sim_seed)
-        if label == "vector":
-            # Fuzz lanes are shorter than the kernel crossover: send
-            # every probe through numpy so that kernel is diffed.
-            system.fastpath.crossover = 1
         out[label] = asdict(system.run(workload))
     return out
 
 
 def check_spec(spec: FuzzSpec) -> Optional[str]:
-    """Returns None when all variants agree field-for-field, else a
-    human-readable diff report ending in the minimal repro spec."""
+    """Returns None when the fast path agrees with the event path
+    field-for-field, else a human-readable diff report ending in the
+    minimal repro spec."""
     results = run_variants(spec)
-    reference = results["event"]
-    lines: List[str] = []
-    for label, stats in results.items():
-        if label == "event":
-            continue
-        diff = {
-            k: (stats[k], reference[k])
-            for k in reference
-            if stats[k] != reference[k]
-        }
-        if diff:
-            lines.append(f"  {label} vs event:")
-            for k, (got, want) in sorted(diff.items()):
-                lines.append(f"    {k}: {got!r} != {want!r}")
-    if not lines:
+    want, got = results["event"], results["fastpath"]
+    diff = sorted(k for k in want if got[k] != want[k])
+    if not diff:
         return None
     return (
-        "replay tiers diverged:\n"
-        + "\n".join(lines)
-        + "\nrepro: repro fuzz --spec '" + spec.to_json() + "'"
+        "replay tiers diverged:\n  fastpath vs event:\n"
+        + "".join(f"    {k}: {got[k]!r} != {want[k]!r}\n" for k in diff)
+        + "repro: repro fuzz --spec '" + spec.to_json() + "'"
     )
 
 

@@ -40,26 +40,6 @@ pass therefore
 That is O(lanes) bites per pass; the bite ends only at a real escape,
 the batch window or the next calendar event.
 
-Two kernels compute a probe, bit-identically:
-
-* the **scalar** kernel — a per-access Python loop, always available;
-* the **vectorised** kernel — a numpy block scan over the trace columns
-  (``config.fastpath_vectorised``, the default when numpy imports).
-  The window recurrence has a ``W``-cycle lag (access ``i`` waits on
-  the release of access ``i - W``), so with the substitution
-  ``y_i = issue_i - prefix_gaps_i`` it becomes
-  ``y_i = max(y_{i-1}, ring_head_i - prefix_gaps_i)`` — a running
-  maximum — and blocks of ``W`` accesses fall to one
-  ``np.maximum.accumulate`` each.  The escape predicate is evaluated
-  once per *unique* VPN of the probe.
-
-Even with numpy, a probe that can cover fewer than :data:`_CROSSOVER`
-accesses (an upper bound from arrivals alone, one ``searchsorted``)
-runs the scalar kernel: numpy's per-call overhead only pays off on
-longer bites.  numpy is a **soft** dependency: selected at import, with
-``REPRO_NO_NUMPY=1`` forcing the scalar kernel (CI runs the tier-1
-suite both ways so the fallback cannot rot).
-
 Parking protocol
 ----------------
 A lane parks by yielding an Event obtained from :meth:`FastPath.park`
@@ -118,7 +98,6 @@ turn it off explicitly.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from collections import deque
 from typing import Dict, List, Set
@@ -127,31 +106,9 @@ from ..memory import pte as pte_bits
 from ..memory.physmem import PhysicalMemory
 from ..sim.engine import Engine, Event
 
-if os.environ.get("REPRO_NO_NUMPY") == "1":  # forced pure-Python fallback
-    np = None
-else:
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - exercised via REPRO_NO_NUMPY CI leg
-        np = None
-
-__all__ = ["FastPath", "ParkedLane", "HAVE_NUMPY"]
-
-#: True when the vectorised kernel can be selected in this process.
-HAVE_NUMPY = np is not None
+__all__ = ["FastPath", "ParkedLane"]
 
 _INF = float("inf")
-
-#: "ring not yet full" sentinel for the vectorised head column: small
-#: enough to never win a max against a real timestamp, large enough that
-#: subtracting a prefix sum cannot underflow int64.
-_NEG = -(1 << 62)
-
-#: Probe length (accesses) from which the vectorised kernel beats the
-#: scalar loop: below it numpy's fixed per-call cost dominates.  Measured
-#: on the TLB-resident trace (both kernels timed per probe+commit across
-#: bite lengths); the kernels are bit-identical, so the routing is exact.
-_CROSSOVER = 64
 
 
 class ParkedLane:
@@ -190,19 +147,11 @@ class FastPath:
         self.driver = driver
         self.interconnect = interconnect
         self.batch_limit = max(1, config.fastpath_batch_limit)
-        #: True = numpy block-scan kernel for long probes; False = scalar
-        #: loop only (forced when numpy is unavailable or REPRO_NO_NUMPY=1).
-        self.vectorised = bool(config.fastpath_vectorised) and np is not None
-        #: probes bounded below this many accesses use the scalar kernel.
-        self.crossover = _CROSSOVER
         self._parked: Dict[object, ParkedLane] = {}
         #: id() of every parked lane's window Resource — identifies
         #: calendar entries (window.release bound methods) that are
         #: benign to consume mid-replay.
         self._parked_windows: Set[int] = set()
-        #: lane → inclusive int64 prefix sums of its gap column, built on
-        #: the lane's first vectorised probe.
-        self._prefix: Dict[object, object] = {}
         # Visibility counters (plain ints, deliberately *not* StatsGroup
         # members: fast-path bookkeeping must never appear in collected
         # results, which are asserted equal to event-path results).
@@ -422,46 +371,60 @@ class FastPath:
     def _probe(self, rec: ParkedLane, bound):
         """Read-only lookahead of ``rec``'s lane up to ``bound``.
 
-        Returns ``(issues, esc, horizon)``: the issue times (all below
-        ``bound``, nondecreasing) of the accesses the lane would replay
-        from its head within one batch window, where ``esc`` marks the
-        last of them as the lane's first escaping access, and the lane's
-        mutation horizon (module docstring)."""
+        Walks the window recurrence access by access from the lane's
+        head and stops at the first issue at or past ``bound`` (tested
+        before the predicate), at the first escaping access (included,
+        flagged) or after one batch window.  Returns ``(issues, esc,
+        horizon)``: the issue times (all below ``bound``,
+        nondecreasing), whether the last of them is the lane's first
+        escaping access, and the lane's mutation horizon (module
+        docstring)."""
         lane = rec.lane
         i0 = rec.index
         n = lane._n
         limit = self.batch_limit
         navail = n - i0 if n - i0 < limit else limit
-        if self.vectorised:
-            prefix = self._prefix.get(lane)
-            if prefix is None:
-                prefix = self._prefix[lane] = np.add.accumulate(
-                    lane.trace.columns64()[0]
-                )
-            base = int(prefix[i0 - 1]) if i0 else 0
-            # issue_j >= arrival_0 + (S_j - g_0) with S_j the in-probe gap
-            # prefix sum (arrivals alone, ignoring the window), so indices
-            # whose prefix already reaches the bound can never replay:
-            # cut the probe to the work actually available.
-            navail = int(np.searchsorted(
-                prefix[i0:i0 + navail],
-                bound - rec.arrival + lane._gaps[i0] + base,
-                side="left",
-            ))
-            if navail >= self.crossover:
-                issues, esc = self._probe_vectorised(rec, bound, navail,
-                                                     prefix, base)
-            else:
-                issues, esc = self._probe_scalar(rec, bound, navail)
-        else:
-            issues, esc = self._probe_scalar(rec, bound, navail)
-        m = len(issues)
         gaps = lane._gaps
+        vpns = lane._vpns
+        escapes = self._escape_test(lane)
+        # State is frozen for the pass, so the predicate is a function of
+        # the VPN alone: test each distinct page once.
+        safe: Set[int] = set()
+        ring = list(rec.ring)
+        backlog = len(ring)
+        # Access j waits on element j - slack of [ring..., releases of
+        # this probe...] once the window is full.
+        slack = lane._capacity - backlog
+        latency = lane.gpu._fast_latency
+        arrival = rec.arrival
+        issues: List[int] = []
+        push = issues.append
+        esc = False
+        j = 0
+        while j < navail:
+            k = j - slack
+            if k >= 0:
+                head = ring[k] if k < backlog else issues[k - backlog] + latency
+                issue = head if head > arrival else arrival
+            else:
+                issue = arrival
+            if issue >= bound:
+                break
+            push(issue)
+            vpn = vpns[i0 + j]
+            if vpn not in safe:
+                if escapes(vpn):
+                    esc = True
+                    break
+                safe.add(vpn)
+            j += 1
+            if j < navail:
+                arrival = issue + gaps[i0 + j]
+        m = len(issues)
         if esc:
-            arrival = int(issues[m - 2]) + gaps[i0 + m - 1] if m > 1 else rec.arrival
             horizon = arrival + 1
         elif m == limit and i0 + m < n:
-            horizon = int(issues[m - 1]) + gaps[i0 + m] + 1
+            horizon = issues[m - 1] + gaps[i0 + m] + 1
         else:
             horizon = _INF
         return issues, esc, horizon
@@ -485,26 +448,11 @@ class FastPath:
             sets = gpu.l1_tlbs[lane.lane_id]._sets
             nsets = len(sets)
             latency = gpu._fast_latency
-            if type(issues) is list:
-                # Scalar-kernel probe: per-access LRU refreshes, as the
-                # event path makes them.
-                for vpn in lane._vpns[i0:i]:
-                    sets[vpn % nsets].move_to_end(vpn)
-                instructions = sum(gaps[i0:i])
-                released = [t + latency for t in issues[:count]]
-            else:
-                # Vectorised probe: one move_to_end per unique replayed
-                # VPN, in ascending order of last occurrence (the net
-                # effect of the per-access refreshes).
-                vc = lane.trace.columns64()[1][i0:i]
-                ruline, rfirst = np.unique(vc[::-1], return_index=True)
-                for k in np.argsort(rfirst)[::-1].tolist():
-                    vpn = int(ruline[k])
-                    sets[vpn % nsets].move_to_end(vpn)
-                prefix = self._prefix[lane]
-                instructions = int(prefix[i - 1]) - (int(prefix[i0 - 1]) if i0 else 0)
-                released = (issues[:count] + latency).tolist()
-            gpu.instructions += instructions + count
+            # Per-access LRU refreshes, as the event path makes them.
+            for vpn in lane._vpns[i0:i]:
+                sets[vpn % nsets].move_to_end(vpn)
+            released = [t + latency for t in issues[:count]]
+            gpu.instructions += sum(gaps[i0:i]) + count
             gpu.l1_tlbs[lane.lane_id]._hits.value += count
             gpu._n_local.value += count
             gpu._n_completed.value += count
@@ -528,144 +476,11 @@ class FastPath:
                 ring.extend(released)
             rec.index = i
             if i < lane._n:
-                rec.arrival = int(issues[count - 1]) + gaps[i]
+                rec.arrival = issues[count - 1] + gaps[i]
             elif count >= 2:
                 # End of trace: the arrival stays the last access's own
                 # (never consumed, but checkpoints snapshot it).
-                rec.arrival = int(issues[count - 2]) + gaps[i - 1]
+                rec.arrival = issues[count - 2] + gaps[i - 1]
         if escaped or rec.index >= lane._n:
             self._unpark(rec)
         return count
-
-    # ------------------------------------------------------------------
-    # Scalar probe kernel (always available)
-    # ------------------------------------------------------------------
-
-    def _probe_scalar(self, rec: ParkedLane, bound, navail: int):
-        """Walk the window recurrence access by access from ``rec``'s
-        head: stop at the first issue at or past ``bound`` (tested before
-        the predicate), at the first escaping access (included, flagged)
-        or after ``navail`` accesses."""
-        lane = rec.lane
-        i0 = rec.index
-        gaps = lane._gaps
-        vpns = lane._vpns
-        escapes = self._escape_test(lane)
-        ring = list(rec.ring)
-        backlog = len(ring)
-        # Access j waits on element j - slack of [ring..., releases of
-        # this probe...] once the window is full.
-        slack = lane._capacity - backlog
-        latency = lane.gpu._fast_latency
-        arrival = rec.arrival
-        issues: List[int] = []
-        push = issues.append
-        j = 0
-        while j < navail:
-            k = j - slack
-            if k >= 0:
-                head = ring[k] if k < backlog else issues[k - backlog] + latency
-                issue = head if head > arrival else arrival
-            else:
-                issue = arrival
-            if issue >= bound:
-                break
-            push(issue)
-            if escapes(vpns[i0 + j]):
-                return issues, True
-            j += 1
-            if j < navail:
-                arrival = issue + gaps[i0 + j]
-        return issues, False
-
-    # ------------------------------------------------------------------
-    # Vectorised probe kernel (numpy block scan)
-    # ------------------------------------------------------------------
-
-    def _probe_vectorised(self, rec: ParkedLane, bound, navail: int,
-                          prefix, base: int):
-        """Bit-for-bit :meth:`_probe_scalar`'s result, as a numpy block
-        scan: evaluate the escape predicate once per unique VPN (state
-        is frozen for the pass), solve the window recurrence in blocks
-        of ``W = capacity`` via a running maximum on ``issue -
-        prefix_gaps``, then cut at ``min(first predicate failure, first
-        issue >= bound)`` — testing the bound *before* the predicate at
-        the cut index, as the scalar loop does."""
-        lane = rec.lane
-        i0 = rec.index
-        gaps_np, vpns_np = lane.trace.columns64()
-        g = gaps_np[i0:i0 + navail]
-        S = prefix[i0:i0 + navail] - base
-        v = vpns_np[i0:i0 + navail]
-
-        # --- escape predicate, once per unique VPN --------------------
-        escapes = self._escape_test(lane)
-        uniq, inverse = np.unique(v, return_inverse=True)
-        bad = np.fromiter(
-            (escapes(vpn) for vpn in uniq.tolist()), dtype=bool, count=len(uniq)
-        )[inverse]
-        fb = int(np.argmax(bad)) if bad.any() else navail
-
-        # --- window recurrence over [0, M): issues of every candidate
-        # access plus (when escaping) the failing access, whose issue
-        # decides bound-break vs escape exactly as the scalar loop does.
-        M = fb + 1 if fb < navail else navail
-        capacity = lane._capacity
-        fast_latency = lane.gpu._fast_latency
-        B = len(rec.ring)
-        issue = None
-        if B == capacity:
-            # Saturated-window closed form.  With a full ring, *if* the
-            # window binds every access (arrival_j <= ring-head release),
-            # the recurrence degenerates to per-residue arithmetic:
-            # c_j = ring[j mod W] + (j // W) * L.  Candidate plus
-            # vectorised verification (arrival_0 <= c_0 and
-            # c_j - c_{j-1} >= g_j, which by induction makes every
-            # arrival land at or below its ring head) replaces the block
-            # scan with a handful of whole-probe ufuncs — and in replay
-            # steady state (small gaps, full ring) it almost always
-            # holds.  Any miss falls back to the exact block scan.
-            ncop = -(-M // capacity)
-            c = np.tile(np.asarray(rec.ring, dtype=np.int64), ncop)[:M]
-            c += np.repeat(
-                np.arange(ncop, dtype=np.int64) * fast_latency, capacity
-            )[:M]
-            if rec.arrival <= int(c[0]) and (
-                M == 1 or bool((c[1:] - c[:M - 1] >= g[1:M]).all())
-            ):
-                issue = c
-        if issue is None:
-            issue = np.empty(M, dtype=np.int64)
-            head = np.empty(M, dtype=np.int64)  # ring-head release per access
-            slack = capacity - B              # accesses before the ring fills
-            k = slack if slack < M else M
-            if k > 0:
-                head[:k] = _NEG               # ring not yet full: no wait
-            if M > slack:
-                take = min(M - slack, B)
-                head[slack:slack + take] = list(rec.ring)[:take]
-            # head[j] for j >= capacity is this probe's own release
-            # j-capacity, filled block-by-block below.  y = issue - S
-            # obeys y_j = max(y_{j-1}, head_j - S_j); carry seeds
-            # arrival_0.
-            carry = rec.arrival - int(g[0])
-            pos = 0
-            while pos < M:
-                end = pos + capacity
-                if end > M:
-                    end = M
-                lo = capacity if pos < capacity else pos
-                if lo < end:
-                    np.add(issue[lo - capacity:end - capacity], fast_latency,
-                           out=head[lo:end])
-                t = head[pos:end] - S[pos:end]
-                if t[0] < carry:
-                    t[0] = carry
-                np.maximum.accumulate(t, out=t)
-                np.add(t, S[pos:end], out=issue[pos:end])
-                carry = issue[end - 1] - S[end - 1]
-                pos = end
-
-        # --- cut: first issue at/past the bound -----------------------
-        cut = int(np.searchsorted(issue, bound, side="left"))
-        return issue[:cut], fb < navail and cut > fb

@@ -13,9 +13,7 @@ The package turns the CLI reproduction into a long-running server:
   pool, the crash-safe job journal, and graceful drain;
 * :mod:`~repro.service.server` — the dependency-free stdlib HTTP
   server (``POST /jobs``, polling, SSE streaming, artifacts, health
-  and metrics endpoints);
-* :mod:`~repro.service.app` — an optional FastAPI adapter for
-  deployments that already run an ASGI stack.
+  and metrics endpoints).
 
 Robustness is inherited rather than reimplemented: worker SIGKILL /
 hang / poison handling, exponential-backoff retries and RCKP resume

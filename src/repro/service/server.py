@@ -1,8 +1,7 @@
 """Dependency-free HTTP front end for the job manager.
 
 Built on :class:`http.server.ThreadingHTTPServer` so the service runs
-anywhere the simulator does — no ASGI stack required (the optional
-FastAPI adapter lives in :mod:`repro.service.app`).  One handler thread
+anywhere the simulator does — no ASGI stack required.  One handler thread
 per connection; every route is a thin translation onto
 :class:`~repro.service.manager.JobManager`, which owns all state.
 

@@ -15,7 +15,6 @@ from dataclasses import asdict, replace
 import pytest
 
 from repro.config import InvalidationScheme, SystemConfig, baseline_config
-from repro.gpu import fastpath
 from repro.gpu.system import MultiGPUSystem
 from repro.sim.trace import TraceRecorder
 from repro.workloads.base import Workload
@@ -147,7 +146,7 @@ class TestEngagement:
 
 
 class TestReplayKernelCorners:
-    """Degenerate shapes both replay kernels and the lookahead merge must
+    """Degenerate shapes the replay kernel and the lookahead merge must
     survive bit-for-bit: pathological batch limits, empty and
     single-access lanes, wide topologies, and every knob combination."""
 
@@ -164,20 +163,19 @@ class TestReplayKernelCorners:
         config = replace(small_config(2), fastpath_batch_limit=batch_limit)
         self._assert_equivalent(config, random_workload(17, 2))
 
-    @pytest.mark.parametrize("vectorised", [False, True])
+    @pytest.mark.parametrize("narrow", [False, True])
     @pytest.mark.parametrize("windowed", [False, True])
     @pytest.mark.parametrize("seed", [3, 8])
-    def test_kernel_knob_matrix(self, vectorised, windowed, seed, monkeypatch):
-        """Equivalence must hold for every (kernel, lookahead window)
-        combination, not just the defaults.  The vectorised leg runs
-        numpy on every probe (these lanes are shorter than the kernel
-        crossover); the windowed leg cuts probes at 3 accesses so the
-        window horizon caps sibling commits."""
-        if vectorised:
-            monkeypatch.setattr(fastpath, "_CROSSOVER", 1)
+    def test_kernel_knob_matrix(self, narrow, windowed, seed):
+        """Equivalence must hold for every (in-flight window, lookahead
+        window) combination, not just the defaults.  The narrow leg
+        gives each lane a one-slot in-flight window, so every replayed
+        access waits on its predecessor's release (the ring head binds
+        the recurrence); the windowed leg cuts probes at 3 accesses so
+        the window horizon caps sibling commits."""
         config = replace(
             small_config(2),
-            fastpath_vectorised=vectorised,
+            inflight_per_cu=1 if narrow else 4,
             fastpath_batch_limit=3 if windowed else 4096,
         )
         self._assert_equivalent(config, random_workload(seed, 2))
@@ -299,9 +297,9 @@ class TestCheckpointMidBatch:
             assert asdict(resumed) == asdict(base), f"resume of {path} diverged"
 
     def test_parked_ring_pickles_to_plain_ints(self, tmp_path):
-        """The vectorised kernel rebuilds rings from numpy arrays; the
-        snapshot layer pickles them, so they must be Python ints (a
-        numpy scalar would silently change the checkpoint bytes)."""
+        """The snapshot layer pickles parked lanes' replay state, so the
+        index, arrival and release ring must be plain Python ints: any
+        other integer type would silently change the checkpoint bytes."""
         import glob
 
         from repro.sim import snapshot as snap

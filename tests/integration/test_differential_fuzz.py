@@ -3,8 +3,8 @@ equivalence.
 
 Three layers of checking:
 
-* a short random campaign must come back clean (the real gate — CI runs
-  it with and without numpy);
+* a short random campaign must come back clean (the real gate), and a
+  known residual divergence is pinned so a fix shows up as a flip;
 * a *sabotaged* kernel must be caught, proving the harness can actually
   see a divergence (a fuzzer that never fails is indistinguishable from
   a fuzzer that never looks);
@@ -29,7 +29,7 @@ from repro.experiments.fuzz import (
     random_specs,
     run_variants,
 )
-from repro.gpu.fastpath import HAVE_NUMPY, FastPath
+from repro.gpu.fastpath import FastPath
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -86,7 +86,7 @@ class TestDetection:
         monkeypatch.setattr(FastPath, "_commit", sabotaged)
         report = check_spec(FuzzSpec(seed=7, num_gpus=2, accesses=200,
                                      shared_pages=0, private_pages=4))
-        assert report is not None and "scalar vs event" in report
+        assert report is not None and "fastpath vs event" in report
 
 
 class TestSpecPlumbing:
@@ -101,8 +101,7 @@ class TestSpecPlumbing:
 
     def test_variants_include_reference_tier(self):
         results = run_variants(FuzzSpec(seed=4, num_gpus=1, accesses=8))
-        tiers = {"event", "scalar"} | ({"vector"} if HAVE_NUMPY else set())
-        assert set(results) == tiers
+        assert set(results) == {"event", "fastpath"}
 
     def test_cli_spec_replay(self, capsys):
         spec = FuzzSpec(seed=11, num_gpus=2, accesses=20)
@@ -116,17 +115,42 @@ class TestSpecPlumbing:
         assert rc == 0 and "fuzz campaign clean: 3 cases" in out
 
 
-class TestNumpyFallback:
-    def test_campaign_under_forced_fallback(self):
-        """One tiny campaign in a REPRO_NO_NUMPY=1 subprocess: the
-        scalar-only tier set must also agree (and must not import
-        numpy through the fast path)."""
-        env = dict(os.environ, REPRO_NO_NUMPY="1")
-        env["PYTHONPATH"] = str(REPO / "src")
+class TestKnownDivergence:
+    @pytest.mark.xfail(strict=True, reason=(
+        "same-instant resume sequencing: a lane unparked by the "
+        "discovery pass schedules its wake-up at unpark time, so at a "
+        "same-cycle tie (GPUs 4 and 6 touch one page at cycle 11670) it "
+        "wakes before the sibling the event path woke first and the two "
+        "swap places in the migration-gate queue "
+        "(migration_waiting_total 24839 vs 24840)"
+    ))
+    def test_same_instant_tie_order(self):
+        spec = FuzzSpec(seed=183198011, num_gpus=8, lanes=1, accesses=60,
+                        shared_pages=24, private_pages=8, scheme="idyll",
+                        batch_limit=4096, inflight_per_cu=1, sim_seed=11)
+        assert check_spec(spec) is None
+
+
+class TestStdlibOnly:
+    def test_run_and_fuzz_import_only_stdlib(self):
+        """A run and a fuzz replay load nothing but the standard library
+        and the package itself: the simulator has no third-party
+        dependency, hard or optional."""
+        script = """
+import sys
+before = set(sys.modules)
+from repro.experiments.runner import simulate
+from repro.cli import main
+from repro.config import baseline_config
+simulate("SC", baseline_config(2), lanes=2, accesses_per_lane=60, seed=1)
+assert main(["fuzz", "--spec", '{"seed": 3, "accesses": 30}']) == 0
+tops = {m.partition(".")[0] for m in set(sys.modules) - before}
+# __mp_main__ is multiprocessing's alias for the main module.
+print(sorted(tops - set(sys.stdlib_module_names) - {"repro", "__mp_main__"}))
+"""
         proc = subprocess.run(
-            [sys.executable, "-m", "repro", "fuzz", "--runs", "2",
-             "--seed", "1", "--quiet"],
-            capture_output=True, text=True, env=env, cwd=REPO,
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(REPO / "src")), cwd=REPO,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "vector" not in proc.stdout.splitlines()[-1]
+        assert proc.stdout.splitlines()[-1] == "[]"

@@ -66,6 +66,16 @@ class TestCompareBenchmarks:
         current = {"engine_drain": self._record("engine_drain", 1.0, quick=True)}
         assert compare_benchmarks(current, tmp_path) == []
 
+    @pytest.mark.parametrize("speedup, regressed", [(2.9, True), (3.1, False)])
+    def test_replay_ratio_floor(self, tmp_path, speedup, regressed):
+        """A record with vs_event_speedup is gated on that in-process
+        ratio alone: 10x its baseline's wall time passes above the floor."""
+        self._write_baseline(tmp_path, self._record("fastpath_batch_replay", 0.1))
+        record = self._record("fastpath_batch_replay", 1.0)
+        record["vs_event_speedup"] = speedup
+        messages = compare_benchmarks({"fastpath_batch_replay": record}, tmp_path)
+        assert bool(messages) == regressed
+
 
 class TestCliIntegration:
     def test_bench_subcommand_quick(self, tmp_path, capsys):
