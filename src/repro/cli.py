@@ -154,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--checkpoint-dir",
         metavar="DIR",
         default="checkpoints",
-        help="where ckpt-*.ckpt files go (default: ./checkpoints)",
+        help="where periodic checkpoint files go (default: ./checkpoints)",
     )
     run.add_argument(
         "--resume",

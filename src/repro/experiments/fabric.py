@@ -1,26 +1,30 @@
 """Distributed sweep fabric: one coordinator, N workers on M hosts.
 
-PR 5's :class:`~repro.experiments.parallel.SweepSupervisor` made a
-sweep crash-safe on one machine; this module generalises it to a fleet.
-The :class:`FabricCoordinator` shards the ``(app, config, scale)`` grid
-across *host agents* (:mod:`repro.experiments.hostagent`) — each a
-full supervisor with its own workers, heartbeats, retry budget and
-quarantine — and layers host-level fault tolerance on top:
+:class:`~repro.experiments.parallel.SweepSupervisor` makes a sweep
+crash-safe on one machine; this module generalises it to a fleet.  The
+:class:`FabricCoordinator` shards the grid's ``(key, run)`` task
+records (see :mod:`repro.experiments.parallel`) across *host agents*
+(:mod:`repro.experiments.hostagent`) — each a full supervisor with its
+own workers, heartbeats, retry budget and quarantine — and layers
+host-level fault tolerance on top.  A task's ``run`` travels to its
+host packed whole in the ``task`` frame; the coordinator only ever adds
+checkpoint arguments to it:
 
 * **Sharding** — the grid is split into contiguous chunks proportional
   to each host's worker count, so every host starts with a private
   queue and zero coordination.
 * **Work-stealing** — when a host goes idle and the unassigned pool is
   dry, the coordinator asks the most-backlogged host to give back half
-  its not-yet-started tasks.  The agent revokes only tasks that have
-  truly not started; because frames are ordered per stream, a ``start``
-  always overtakes the ``stolen`` that would exclude it, so a task can
-  never run twice *because of a steal*.
+  the tasks it has queued beyond its worker count.  The agent revokes
+  only tasks that have truly not started; because frames are ordered
+  per stream, a ``start`` always overtakes the ``stolen`` that would
+  exclude it, so a task can never run twice *because of a steal*.
 * **Host death** — an agent that closes its stream, exits, or misses
   agent-level heartbeats past the grace window is declared dead.  Its
   open tasks are re-dispatched: first re-checked against the (shared)
   result cache — a result pushed in the host's dying breath counts —
-  then resumed from their newest RCKP checkpoint when checkpointing is
+  then resumed from their newest RCKP checkpoint
+  (:func:`repro.sim.snapshot.newest_checkpoint`) when checkpointing is
   on (byte-equal by the snapshot subsystem's contract), else restarted.
   A task that keeps killing hosts is quarantined after
   ``max_host_redispatch`` re-dispatches, mirroring the per-host poison
@@ -36,8 +40,8 @@ quarantine — and layers host-level fault tolerance on top:
   ``--resume-sweep`` continues from the merged journal family + cache.
 
 Determinism: hosts funnel through the same
-:func:`repro.experiments.runner.simulate` with the same explicit
-parameters as the serial runner, so serial, parallel, and distributed
+:func:`repro.experiments.runner.simulate` with the same ``run``
+arguments as the serial runner, so serial, parallel, and distributed
 execution produce field-for-field identical results — the property CI
 asserts byte-for-byte.
 
@@ -50,21 +54,22 @@ tcp:host:port,...`` are wired.
 
 from __future__ import annotations
 
-import signal
 import sys
-import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
-from ..config import SystemConfig
 from ..metrics.collector import SimulationResult
+from ..sim.snapshot import newest_checkpoint
 from .cache import ResultCache
 from .journal import SweepJournal, journal_path
 from .parallel import (
     ParallelRunner,
     SweepInterrupted,
-    _quarantine_result,
+    Task,
+    _drain_on_signal,
+    _placeholder_result,
+    _Task,
 )
 from .transport import Channel, SocketChannel, pack, spawn_local_agent, unpack
 
@@ -145,29 +150,11 @@ class _Host:
         self.steal_inflight = False
 
     def backlog(self) -> int:
-        """Tasks queued on the host but not yet on a worker — what a
-        steal can take."""
-        return len(self.assigned) - len(self.started & self.assigned)
-
-
-class _FabricTask:
-    """Coordinator-side state for one grid entry."""
-
-    __slots__ = ("key", "app", "config", "scale", "status", "result",
-                 "host", "redispatches", "resume_from", "ckpt_dir")
-
-    def __init__(self, key: str, app: str, config: SystemConfig, scale: float,
-                 ckpt_dir: Optional[str]) -> None:
-        self.key = key
-        self.app = app
-        self.config = config
-        self.scale = scale
-        self.status = "pool"  # pool | assigned | done | quarantined
-        self.result: Optional[SimulationResult] = None
-        self.host: Optional[str] = None
-        self.redispatches = 0
-        self.resume_from: Optional[str] = None
-        self.ckpt_dir = ckpt_dir
+        """Tasks queued on the host beyond what its workers run at once
+        — what a steal can take.  A task waiting only for a free worker
+        is not backlog: stealing it would bounce it between idle hosts
+        without ever letting one start it."""
+        return len(self.assigned) - self.workers
 
 
 class FabricCoordinator:
@@ -180,9 +167,6 @@ class FabricCoordinator:
         self,
         specs: Sequence[HostSpec],
         *,
-        lanes: int,
-        accesses_per_lane: int,
-        seed: int,
         cache: Optional[ResultCache] = None,
         journal: Optional[SweepJournal] = None,
         supervisor_opts: Optional[dict] = None,
@@ -197,9 +181,6 @@ class FabricCoordinator:
         if not specs:
             raise ValueError("fabric needs at least one host spec")
         self.specs = list(specs)
-        self.lanes = lanes
-        self.accesses_per_lane = accesses_per_lane
-        self.seed = seed
         self.cache = cache
         self.journal = journal
         self.supervisor_opts = dict(supervisor_opts or {})
@@ -217,7 +198,7 @@ class FabricCoordinator:
         self.redispatched = 0
         self.migrations = 0
         self._hosts: Dict[str, _Host] = {}
-        self._tasks: Dict[str, _FabricTask] = {}
+        self._tasks: Dict[str, _Task] = {}
         self._pool: List[str] = []
         self._stop = False
         self._stop_at = 0.0
@@ -246,57 +227,26 @@ class FabricCoordinator:
         host.channel.send({"type": "preempt", "key": key})
         return True
 
-    def run(
-        self, tasks: Sequence[Tuple[str, str, SystemConfig, float]]
-    ) -> Dict[str, SimulationResult]:
-        """Execute ``(key, app, config, scale)`` tasks across the fleet;
-        returns ``key -> result`` with every task done or quarantined.
-        Raises :class:`SweepInterrupted` on a drained stop."""
-        for key, app, config, scale in tasks:
+    def run(self, tasks: Sequence[Task]) -> Dict[str, SimulationResult]:
+        """Execute ``(key, run)`` tasks across the fleet; returns
+        ``key -> result`` with every task done or quarantined.  Raises
+        :class:`SweepInterrupted` on a drained stop."""
+        for key, run in tasks:
             if key not in self._tasks:
                 ckpt_dir = None
                 if self.checkpoint_root is not None:
                     ckpt_dir = str(Path(self.checkpoint_root) / key[:16])
-                self._tasks[key] = _FabricTask(key, app, config, scale, ckpt_dir)
-        restore = self._install_signal_handlers()
-        try:
-            self._connect_hosts()
-            self._shard()
-            while True:
-                open_tasks = [
-                    t for t in self._tasks.values()
-                    if t.status in ("pool", "assigned")
-                ]
-                if not open_tasks:
-                    break
-                if self._stop:
-                    self._broadcast_drain()
-                    running = any(
-                        t.status == "assigned" for t in self._tasks.values()
-                    )
-                    drained = time.monotonic() > self._stop_at + self.drain_timeout
-                    if not running or drained:
-                        break
-                else:
-                    self._dispatch()
-                    self._maybe_steal()
-                self._pump()
-                self._check_hosts()
-                if not self._hosts and any(
-                    t.status in ("pool", "assigned")
-                    for t in self._tasks.values()
-                ):
-                    raise RuntimeError(
-                        "fabric: every host died; completed tasks are "
-                        "journaled and cached — re-run with --resume-sweep"
-                    )
-                time.sleep(self.TICK)
-        finally:
-            self._shutdown_hosts()
-            self._restore_signal_handlers(restore)
-        remaining = sum(
-            1 for t in self._tasks.values() if t.status in ("pool", "assigned")
-        )
+                self._tasks[key] = _Task(key, dict(
+                    run, checkpoint_every=self.checkpoint_every,
+                    checkpoint_dir=ckpt_dir,
+                ))
+        with _drain_on_signal(self.request_stop,
+                              "fabric: caught signal, draining hosts"):
+            try:
+                self._sweep()
+            finally:
+                self._shutdown_hosts()
+        remaining = self._open_count()
         if remaining:
             done = sum(1 for t in self._tasks.values() if t.status == "done")
             raise SweepInterrupted(
@@ -306,36 +256,36 @@ class FabricCoordinator:
             )
         return {key: task.result for key, task in self._tasks.items()}
 
-    # -- signals -------------------------------------------------------------
+    def _open_count(self) -> int:
+        return sum(
+            1 for t in self._tasks.values() if t.status in ("pending", "assigned")
+        )
 
-    def _install_signal_handlers(self):
-        if threading.current_thread() is not threading.main_thread():
-            return []
-        installed = []
-
-        def handler(signum, frame):
+    def _sweep(self) -> None:
+        """Bring the fleet up and schedule until every task is terminal
+        or a drained stop ends the sweep."""
+        self._connect_hosts()
+        self._shard()
+        while self._open_count():
             if self._stop:
-                raise KeyboardInterrupt
-            self.request_stop()
-            print(
-                "[repro] fabric: caught signal, draining hosts "
-                "(interrupt again to force)",
-                file=sys.stderr,
-            )
-
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                installed.append((sig, signal.signal(sig, handler)))
-            except (ValueError, OSError):  # pragma: no cover
-                pass
-        return installed
-
-    def _restore_signal_handlers(self, installed) -> None:
-        for sig, old in installed:
-            try:
-                signal.signal(sig, old)
-            except (ValueError, OSError):  # pragma: no cover
-                pass
+                self._broadcast_drain()
+                running = any(
+                    t.status == "assigned" for t in self._tasks.values()
+                )
+                drained = time.monotonic() > self._stop_at + self.drain_timeout
+                if not running or drained:
+                    return
+            else:
+                self._dispatch()
+                self._maybe_steal()
+            self._pump()
+            self._check_hosts()
+            if not self._hosts and self._open_count():
+                raise RuntimeError(
+                    "fabric: every host died; completed tasks are "
+                    "journaled and cached — re-run with --resume-sweep"
+                )
+            time.sleep(self.TICK)
 
     # -- fleet bring-up / teardown -------------------------------------------
 
@@ -358,9 +308,6 @@ class FabricCoordinator:
                 "type": "init",
                 "host_id": host_id,
                 "workers": spec.workers,
-                "lanes": self.lanes,
-                "accesses_per_lane": self.accesses_per_lane,
-                "seed": self.seed,
                 "cache_root": (
                     str(self.cache.root) if self.cache is not None else None
                 ),
@@ -370,7 +317,6 @@ class FabricCoordinator:
                     else None
                 ),
                 "journal": self._host_journal(host_id),
-                "journal_fsync": None,
                 "supervisor_opts": self.supervisor_opts,
             })
         deadline = time.monotonic() + self.hello_timeout
@@ -433,7 +379,7 @@ class FabricCoordinator:
     def _shard(self) -> None:
         """Initial placement: contiguous chunks proportional to worker
         counts (``shard_fn`` overrides for tests and drills)."""
-        keys = [t.key for t in self._tasks.values() if t.status == "pool"]
+        keys = [t.key for t in self._tasks.values() if t.status == "pending"]
         hosts = list(self._hosts.values())
         if self.shard_fn is not None:
             chunks = self.shard_fn(keys, [h.workers for h in hosts])
@@ -452,23 +398,14 @@ class FabricCoordinator:
             for key in chunk:
                 self._assign(self._tasks[key], host)
         self._pool = [
-            t.key for t in self._tasks.values() if t.status == "pool"
+            t.key for t in self._tasks.values() if t.status == "pending"
         ]
 
-    def _assign(self, task: _FabricTask, host: _Host) -> None:
+    def _assign(self, task: _Task, host: _Host) -> None:
         task.status = "assigned"
         task.host = host.host_id
         host.assigned.add(task.key)
-        host.channel.send({
-            "type": "task",
-            "key": task.key,
-            "app": task.app,
-            "config": pack(task.config),
-            "scale": task.scale,
-            "checkpoint_every": self.checkpoint_every,
-            "checkpoint_dir": task.ckpt_dir,
-            "resume_from": task.resume_from,
-        })
+        host.channel.send({"type": "task", "key": task.key, "run": pack(task.run)})
 
     def _dispatch(self) -> None:
         """Hand pooled tasks to the least-loaded live hosts."""
@@ -479,7 +416,7 @@ class FabricCoordinator:
             host = min(hosts, key=lambda h: len(h.assigned) / max(1, h.workers))
             key = self._pool.pop(0)
             task = self._tasks[key]
-            if task.status == "pool":
+            if task.status == "pending":
                 self._assign(task, host)
 
     def _maybe_steal(self) -> None:
@@ -537,7 +474,7 @@ class FabricCoordinator:
                 task = self._tasks.get(key)
                 host.assigned.discard(key)
                 if task is not None and task.status == "assigned":
-                    task.status = "pool"
+                    task.status = "pending"
                     task.host = None
                     self._pool.append(key)
         elif kind == "preempted":
@@ -557,7 +494,7 @@ class FabricCoordinator:
             host.assigned.discard(key)
             host.started.discard(key)
         if self.journal is not None:
-            self.journal.record("done", key, app=task.app, attempt=1)
+            self.journal.record("done", key, app=task.run["app"], attempt=1)
 
     def _quarantine(self, host: Optional[_Host], key: str,
                     result: SimulationResult, reason: str) -> None:
@@ -571,7 +508,9 @@ class FabricCoordinator:
             host.assigned.discard(key)
             host.started.discard(key)
         if self.journal is not None:
-            self.journal.record("quarantined", key, app=task.app, reason=reason)
+            self.journal.record(
+                "quarantined", key, app=task.run["app"], reason=reason
+            )
 
     def _migrate(self, host: _Host, key: str, checkpoint: Optional[str]) -> None:
         host.assigned.discard(key)
@@ -579,9 +518,9 @@ class FabricCoordinator:
         task = self._tasks.get(key)
         if task is None or task.status in ("done", "quarantined"):
             return
-        task.status = "pool"
+        task.status = "pending"
         task.host = None
-        task.resume_from = checkpoint
+        task.run = dict(task.run, resume_from=checkpoint)
         self.migrations += 1
         self._pool.append(key)
 
@@ -629,38 +568,24 @@ class FabricCoordinator:
                 if cached is not None:
                     self._complete(None, key, cached)
                     continue
-            task.redispatches += 1
-            if task.redispatches >= self.max_host_redispatch:
+            task.attempts += 1
+            if task.attempts >= self.max_host_redispatch:
                 reason_q = (
-                    f"task survived {task.redispatches} host deaths "
+                    f"task survived {task.attempts} host deaths "
                     f"(last: {reason})"
                 )
-                self._quarantine(
-                    None, key,
-                    _quarantine_result(task.app, task.config, reason_q),
-                    reason_q,
+                placeholder = _placeholder_result(
+                    task.run["app"], task.run["config"], reason_q
                 )
+                self._quarantine(None, key, placeholder, reason_q)
                 continue
-            task.status = "pool"
+            task.status = "pending"
             task.host = None
-            task.resume_from = self._latest_checkpoint(task)
+            # Half-done runs migrate from their newest checkpoint.
+            task.run = dict(task.run, resume_from=newest_checkpoint(
+                task.run["checkpoint_dir"]))
             self.redispatched += 1
             self._pool.append(key)
-
-    @staticmethod
-    def _latest_checkpoint(task: _FabricTask) -> Optional[str]:
-        """Newest complete RCKP file in the task's checkpoint dir, if
-        checkpointing was on — the migration path for half-done runs."""
-        if task.ckpt_dir is None:
-            return None
-        try:
-            ckpts = sorted(
-                p for p in Path(task.ckpt_dir).iterdir()
-                if p.name.startswith("ckpt-") and p.name.endswith(".ckpt")
-            )
-        except OSError:
-            return None
-        return str(ckpts[-1]) if ckpts else None
 
 
 class FabricRunner(ParallelRunner):
@@ -731,9 +656,6 @@ class FabricRunner(ParallelRunner):
     def _execute(self, todo, journal) -> None:
         coordinator = FabricCoordinator(
             self.host_specs,
-            lanes=self.lanes,
-            accesses_per_lane=self.accesses_per_lane,
-            seed=self.seed,
             cache=self.cache,
             journal=journal,
             supervisor_opts=self.supervisor_opts,
@@ -747,5 +669,5 @@ class FabricRunner(ParallelRunner):
             fresh = coordinator.run(todo)
         finally:
             self._fabric = None
-        for disk_key, app, config, scale in todo:
-            self._memoize(app, config, scale, fresh[disk_key])
+        for disk_key, run in todo:
+            self._memoize(run, fresh[disk_key])

@@ -11,11 +11,12 @@ with the coordinator layered on top for host-level failures.
 
 Frames from the coordinator:
 
-``init``       configure: host id, worker count, workload sizing,
-               cache root + shared remote, journal path, supervisor
-               knobs.  Answered with ``hello``.
-``task``       submit one ``(key, app, config, scale)`` run, with
-               optional checkpoint policy for migratable tasks.
+``init``       configure: host id, worker count, cache root + shared
+               remote, journal path, supervisor knobs.  Answered with
+               ``hello``.
+``task``       submit one ``(key, run)`` task record: ``run`` is the
+               packed keyword arguments of ``simulate()``, checkpoint
+               arguments included for migratable tasks.
 ``steal``      give back up to ``count`` not-yet-started tasks;
                answered with ``stolen`` listing exactly the revoked
                keys (a task that raced into ``running`` stays here —
@@ -102,20 +103,12 @@ class _Agent:
                 frame["cache_root"], remote=frame.get("cache_remote") or False
             )
         if frame.get("journal"):
-            self.journal = SweepJournal(
-                frame["journal"],
-                fsync=frame.get("journal_fsync"),
-                stamp=True,
-            )
-        opts = dict(frame.get("supervisor_opts") or {})
+            self.journal = SweepJournal(frame["journal"], stamp=True)
         self.supervisor = SweepSupervisor(
             jobs=jobs,
-            lanes=int(frame["lanes"]),
-            accesses_per_lane=int(frame["accesses_per_lane"]),
-            seed=int(frame["seed"]),
             cache=self.cache,
             journal=self.journal,
-            **opts,
+            **(frame.get("supervisor_opts") or {}),
         )
         self.supervisor.start()
         self.send(type="hello", host_id=self.host_id, workers=jobs, pid=os.getpid())
@@ -123,15 +116,7 @@ class _Agent:
     def _handle_task(self, frame: dict) -> None:
         from .transport import unpack
 
-        self.supervisor.submit(
-            frame["key"],
-            frame["app"],
-            unpack(frame["config"]),
-            float(frame["scale"]),
-            checkpoint_every=frame.get("checkpoint_every"),
-            checkpoint_dir=frame.get("checkpoint_dir"),
-            resume_from=frame.get("resume_from"),
-        )
+        self.supervisor.submit(frame["key"], unpack(frame["run"]))
 
     def _handle_steal(self, frame: dict) -> None:
         want = int(frame.get("count", 1))

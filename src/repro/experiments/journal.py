@@ -6,20 +6,22 @@ task outcome — ``done``, ``failed`` (will be retried), ``quarantined``
 journal file living next to the on-disk result cache.  A torn trailing
 line is skipped on load rather than poisoning the whole file.
 
-Durability is a policy (``REPRO_JOURNAL_FSYNC``):
+Durability is a policy, the journal's ``fsync=`` argument:
 
-* ``batch`` (default) — every record is *flushed* per line but fsynced
-  only at dispatch boundaries (:meth:`SweepJournal.sync`, called by the
+* ``batch`` (default; sweeps) — every record is *flushed* per line but
+  fsynced only at dispatch boundaries (:meth:`SweepJournal.sync`, called by the
   supervisor each time it hands new work to workers, on quarantine, and
   on close).  Once hundreds of tasks per second flow through the
   distributed fabric, one ``fsync`` per record is the journal's hot
   path; batching bounds the loss window to the records since the last
   boundary — all of which describe tasks a resumed sweep would simply
   re-run.
-* ``always`` — the PR 5 behaviour: flush + fsync per record.
-  Quarantine records are always fsynced immediately regardless of
-  policy: they are authoritative (the cache never stores quarantine
-  state) and must survive any crash that follows them.
+* ``always`` (the job service, whose admissions are HTTP-rate) — flush
+  + fsync per record.
+
+Quarantine records are always fsynced immediately regardless of
+policy: they are authoritative (the cache never stores quarantine
+state) and must survive any crash that follows them.
 
 Together with the content-addressed
 :class:`~repro.experiments.cache.ResultCache` this makes sweeps
@@ -64,7 +66,7 @@ __all__ = [
 #: by a resumed sweep (``failed`` is *not* terminal: it re-runs).
 TERMINAL = frozenset({"done", "quarantined"})
 
-#: valid fsync policies for ``REPRO_JOURNAL_FSYNC``.
+#: valid ``SweepJournal(fsync=)`` policies.
 FSYNC_MODES = ("batch", "always")
 
 
@@ -80,23 +82,6 @@ def host_journal_path(cache_root: os.PathLike, name: str, host_id: str) -> Path:
     return Path(cache_root) / "journals" / f"{name}.host-{host_id}.jsonl"
 
 
-def _fsync_mode(override: Optional[str]) -> str:
-    mode = override if override is not None else os.environ.get(
-        "REPRO_JOURNAL_FSYNC", "batch"
-    )
-    if mode not in FSYNC_MODES:
-        import warnings
-
-        warnings.warn(
-            f"ignoring unknown REPRO_JOURNAL_FSYNC={mode!r}; "
-            f"valid modes are {FSYNC_MODES}; using 'batch'",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return "batch"
-    return mode
-
-
 class SweepJournal:
     """One append-only JSONL task ledger.
 
@@ -104,21 +89,25 @@ class SweepJournal:
     ``quarantined``) and ``key`` (the task's content-addressed cache
     key).  ``replay()`` folds the file into a last-writer-wins map.
 
-    ``fsync`` selects the durability policy (default: the
-    ``REPRO_JOURNAL_FSYNC`` environment variable, else ``batch``);
-    ``stamp=True`` adds a wall-clock ``ts`` to every record so
-    cross-host merges (:func:`merged_replay`) have a total order.
+    ``fsync`` selects the durability policy (``batch`` or ``always``;
+    anything else raises :class:`ValueError`); ``stamp=True`` adds a
+    wall-clock ``ts`` to every record so cross-host merges
+    (:func:`merged_replay`) have a total order.
     """
 
     def __init__(
         self,
         path: os.PathLike,
         *,
-        fsync: Optional[str] = None,
+        fsync: str = "batch",
         stamp: bool = False,
     ) -> None:
+        if fsync not in FSYNC_MODES:
+            raise ValueError(
+                f"unknown journal fsync policy {fsync!r}; valid: {FSYNC_MODES}"
+            )
         self.path = Path(path)
-        self.fsync_mode = _fsync_mode(fsync)
+        self.fsync_mode = fsync
         self.stamp = stamp
         self._fh = None
         self._dirty = False

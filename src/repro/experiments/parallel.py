@@ -2,7 +2,18 @@
 
 A figure is a grid of independent ``(app, config, scale)`` simulations;
 nothing about them shares state, so they fan out across processes
-perfectly.  :class:`ParallelRunner` is a drop-in
+perfectly.  Every scheduler of such runs — :class:`SweepSupervisor`,
+the distributed fabric (:mod:`repro.experiments.fabric`) and the job
+service (:mod:`repro.service.manager`) — passes one task record around:
+``(key, run)``, where ``key`` is the run's content-addressed cache key
+and ``run`` is the keyword arguments of
+:func:`repro.experiments.runner.simulate` (``app``, ``config``,
+``scale``, ``lanes``, ``accesses_per_lane``, ``seed``, plus
+``checkpoint_every`` / ``checkpoint_dir`` / ``resume_from`` for
+migratable tasks).  A worker executes ``simulate(**run)``; nothing in
+between unpacks the record.
+
+:class:`ParallelRunner` is a drop-in
 :class:`~repro.experiments.runner.ExperimentRunner` that adds:
 
 * :meth:`~ParallelRunner.run_many` — execute a grid across supervised
@@ -41,9 +52,9 @@ crash-safe rather than merely parallel:
 
 Results are identical to serial execution: workers funnel through the
 same :func:`repro.experiments.runner.simulate` entry point with the
-same explicit parameters, and the simulator is deterministic in those
-parameters.  Worker count comes from ``jobs=``, else ``REPRO_JOBS``,
-else 1 (serial).
+same explicit arguments, and the simulator is deterministic in them.
+Worker count comes from ``jobs=``, else ``REPRO_JOBS``, else 1
+(serial).
 
 The supervisor doubles as the per-host engine of the distributed sweep
 fabric (:mod:`repro.experiments.fabric`): besides the one-shot
@@ -53,15 +64,13 @@ fabric (:mod:`repro.experiments.fabric`): besides the one-shot
 plus :meth:`~SweepSupervisor.revoke` (give back not-yet-started tasks
 to a work-stealing peer) and :meth:`~SweepSupervisor.preempt` (kill a
 running task and hand back its latest RCKP checkpoint so the
-coordinator can resume it byte-equal on another host).  Tasks may
-carry checkpoint policy (``checkpoint_every`` / ``checkpoint_dir`` /
-``resume_from``), which flows through to
-:func:`repro.experiments.runner.simulate` untouched — checkpoint knobs
-are deliberately not cache-key inputs.
+coordinator can resume it byte-equal on another host).  Checkpoint
+arguments in a task's ``run`` are deliberately not cache-key inputs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import queue as queue_mod
@@ -69,10 +78,11 @@ import signal
 import sys
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..config import SystemConfig
 from ..metrics.collector import SimulationResult
+from ..sim.snapshot import newest_checkpoint
 from . import runner as _runner_mod
 from .cache import ResultCache
 from .journal import SweepJournal, journal_path, merged_terminal_keys
@@ -83,6 +93,9 @@ __all__ = ["ParallelRunner", "SweepInterrupted", "SweepSupervisor"]
 #: one grid entry: (app, config, scale).
 Request = Tuple[str, SystemConfig, float]
 
+#: one sweep task: (cache key, keyword arguments of ``simulate``).
+Task = Tuple[str, Dict[str, Any]]
+
 
 class SweepInterrupted(RuntimeError):
     """A supervised sweep was stopped by SIGINT/SIGTERM after a graceful
@@ -90,45 +103,23 @@ class SweepInterrupted(RuntimeError):
     the sweep (``repro figure --resume-sweep``) continues from there."""
 
 
-def _simulate_job(job: Tuple) -> SimulationResult:
-    """Worker task body: module-level so ``spawn`` can pickle it.
-
-    ``job`` is ``(app, config, scale, lanes, accesses_per_lane, seed)``
-    optionally followed by ``(checkpoint_every, checkpoint_dir,
-    resume_from)`` for migratable fabric tasks."""
-    app, config, scale, lanes, accesses_per_lane, seed = job[:6]
-    ckpt_every, ckpt_dir, resume_from = (
-        job[6:9] if len(job) > 6 else (None, None, None)
-    )
-    return _runner_mod.simulate(
-        app,
-        config,
-        scale=scale,
-        lanes=lanes,
-        accesses_per_lane=accesses_per_lane,
-        seed=seed,
-        checkpoint_every=ckpt_every,
-        checkpoint_dir=ckpt_dir,
-        resume_from=resume_from,
-    )
-
-
-def _parent_watchdog() -> None:
-    """Hard-exit when our supervisor dies: a host agent SIGKILLed by a
-    chaos drill (or a real crash) must not leak grandchildren that keep
-    burning CPU on a sweep nobody will collect.  Polling ``getppid``
-    beats prctl(PR_SET_PDEATHSIG) here because it is portable and
-    survives the spawn-context double fork."""
-    parent = os.getppid()
-    while True:
+def _parent_watchdog(parent: int) -> None:
+    """Hard-exit once our supervisor (pid ``parent``) is gone: a host
+    agent SIGKILLed by a chaos drill (or a real crash) must not leak
+    grandchildren that keep burning CPU on a sweep nobody will collect.
+    The supervisor's pid comes from the supervisor itself, so a worker
+    still booting when its parent died — already re-parented by the time
+    this thread starts — exits on the first check.  Polling ``getppid``
+    beats prctl(PR_SET_PDEATHSIG) here because it is portable."""
+    while os.getppid() == parent:
         time.sleep(1.0)
-        if os.getppid() != parent:
-            os._exit(1)
+    os._exit(1)
 
 
 def _worker_main(worker_id: int, task_queue, result_queue,
-                 heartbeat_interval: float) -> None:
-    """Supervised worker loop: take tasks, emit heartbeats, post results.
+                 heartbeat_interval: float, supervisor_pid: int) -> None:
+    """Supervised worker loop: take ``(key, run)`` tasks, emit
+    heartbeats, post results.
 
     Workers ignore SIGINT so a ^C lands on the supervisor alone, which
     drains gracefully and then terminates us explicitly — the fix for
@@ -138,12 +129,14 @@ def _worker_main(worker_id: int, task_queue, result_queue,
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
-    threading.Thread(target=_parent_watchdog, daemon=True).start()
+    threading.Thread(
+        target=_parent_watchdog, args=(supervisor_pid,), daemon=True
+    ).start()
     while True:
         task = task_queue.get()
         if task is None:
             return
-        key = task[0]
+        key, run = task
         result_queue.put(("start", worker_id, key, None))
         stop_beats = threading.Event()
 
@@ -157,7 +150,7 @@ def _worker_main(worker_id: int, task_queue, result_queue,
         beats = threading.Thread(target=beat, daemon=True)
         beats.start()
         try:
-            result = _simulate_job(task[1:])
+            result = _runner_mod.simulate(**run)
         except BaseException as exc:
             stop_beats.set()
             result_queue.put(
@@ -169,13 +162,13 @@ def _worker_main(worker_id: int, task_queue, result_queue,
         beats.join()
 
 
-def _quarantine_result(app: str, config: SystemConfig, reason: str) -> SimulationResult:
-    """Aborted placeholder standing in for a quarantined poison task.
-
-    Metrics are harmless non-zero scalars (same convention as the
-    discovery-pass placeholder) so figure arithmetic cannot divide by
-    zero; ``aborted``/``abort_reason`` carry the real story.
-    """
+def _placeholder_result(app: str, config: SystemConfig,
+                        quarantined: Optional[str] = None) -> SimulationResult:
+    """Inert stand-in result: for the discovery pass, or — with the
+    ``quarantined`` reason — for a poison task.  Every metric is a
+    harmless non-zero scalar so ratio arithmetic in figure code cannot
+    divide by zero; ``aborted``/``abort_reason`` carry a quarantine's
+    real story."""
     return SimulationResult(
         workload=app,
         scheme=config.invalidation_scheme.value,
@@ -183,63 +176,62 @@ def _quarantine_result(app: str, config: SystemConfig, reason: str) -> Simulatio
         exec_time=1,
         instructions=1000,
         accesses=1,
-        aborted=True,
-        abort_reason=f"quarantined: {reason}",
+        aborted=quarantined is not None,
+        abort_reason=None if quarantined is None else f"quarantined: {quarantined}",
     )
 
 
-def _placeholder_result(app: str, config: SystemConfig) -> SimulationResult:
-    """Inert result for the discovery pass; every metric is a harmless
-    non-zero scalar so ratio arithmetic in figure code cannot divide by
-    zero."""
-    return SimulationResult(
-        workload=app,
-        scheme=config.invalidation_scheme.value,
-        num_gpus=config.num_gpus,
-        exec_time=1,
-        instructions=1000,
-        accesses=1,
-    )
+@contextlib.contextmanager
+def _drain_on_signal(request_stop: Callable[[], None], notice: str):
+    """Route SIGINT/SIGTERM to ``request_stop`` for the ``with`` block
+    (main thread only): the first signal asks for a graceful drain, a
+    second one raises :class:`KeyboardInterrupt` to force the stop."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    caught = []
+
+    def handler(signum, frame):
+        if caught:
+            raise KeyboardInterrupt
+        caught.append(signum)
+        request_stop()
+        print(f"[repro] {notice} (interrupt again to force)", file=sys.stderr)
+
+    installed = []
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        try:
+            installed.append((sig, signal.signal(sig, handler)))
+        except (ValueError, OSError):  # pragma: no cover
+            pass
+    try:
+        yield
+    finally:
+        for sig, old in installed:
+            try:
+                signal.signal(sig, old)
+            except (ValueError, OSError):  # pragma: no cover
+                pass
 
 
 class _Task:
-    """Supervisor-side state for one grid entry."""
+    """Scheduler-side state for one ``(key, run)`` task (the supervisor
+    and the fabric coordinator each keep a table of these)."""
 
-    __slots__ = ("key", "app", "config", "scale", "status", "attempts",
-                 "not_before", "result", "ckpt_every", "ckpt_dir",
-                 "resume_from", "lanes", "accesses_per_lane", "seed")
+    __slots__ = ("key", "run", "status", "attempts", "not_before",
+                 "result", "host")
 
-    def __init__(
-        self,
-        key: str,
-        app: str,
-        config: SystemConfig,
-        scale: float,
-        *,
-        ckpt_every: Optional[int] = None,
-        ckpt_dir: Optional[str] = None,
-        resume_from: Optional[str] = None,
-        lanes: Optional[int] = None,
-        accesses_per_lane: Optional[int] = None,
-        seed: Optional[int] = None,
-    ) -> None:
+    def __init__(self, key: str, run: Dict[str, Any]) -> None:
         self.key = key
-        self.app = app
-        self.config = config
-        self.scale = scale
-        self.status = "pending"  # pending | running | done | quarantined
+        self.run = run
+        #: pending | running (on a worker) or assigned (to a fabric
+        #: host) | done | quarantined
+        self.status = "pending"
         self.attempts = 0
         self.not_before = 0.0
         self.result: Optional[SimulationResult] = None
-        self.ckpt_every = ckpt_every
-        self.ckpt_dir = ckpt_dir
-        self.resume_from = resume_from
-        # Per-task trace-shape overrides (None = the supervisor-wide
-        # value): a job service mixes differently-shaped runs in one
-        # worker pool, unlike a figure sweep's homogeneous grid.
-        self.lanes = lanes
-        self.accesses_per_lane = accesses_per_lane
-        self.seed = seed
+        #: fabric only: the host the task is assigned to.
+        self.host: Optional[str] = None
 
 
 class _Worker:
@@ -270,9 +262,6 @@ class SweepSupervisor:
         self,
         *,
         jobs: int,
-        lanes: int,
-        accesses_per_lane: int,
-        seed: int,
         cache: Optional[ResultCache] = None,
         journal: Optional[SweepJournal] = None,
         max_attempts: int = 3,
@@ -282,12 +271,8 @@ class SweepSupervisor:
         backoff_base: float = 0.25,
         drain_timeout: float = 5.0,
         terminate_grace: float = 5.0,
-        heartbeat_events: bool = False,
     ) -> None:
         self.jobs = jobs
-        self.lanes = lanes
-        self.accesses_per_lane = accesses_per_lane
-        self.seed = seed
         self.cache = cache
         self.journal = journal
         self.max_attempts = max(1, max_attempts)
@@ -305,11 +290,6 @@ class SweepSupervisor:
         self.backoff_base = backoff_base
         self.drain_timeout = drain_timeout
         self.terminate_grace = terminate_grace
-        #: surface worker heartbeats as ("hb", key) events from
-        #: :meth:`step` — liveness progress for an embedding job
-        #: service's event stream.  Off by default: sweep consumers only
-        #: care about terminal outcomes.
-        self.heartbeat_events = heartbeat_events
         # Introspection counters (tests and progress reporting).
         self.failures = 0
         self.worker_deaths = 0
@@ -333,40 +313,31 @@ class SweepSupervisor:
             self._stop = True
             self._stop_at = time.monotonic()
 
-    def run(self, tasks: Sequence[Tuple[str, str, SystemConfig, float]]
-            ) -> Dict[str, SimulationResult]:
-        """Execute ``(key, app, config, scale)`` tasks; returns
-        ``key -> result`` with every task either done or quarantined.
+    def run(self, tasks: Sequence[Task]) -> Dict[str, SimulationResult]:
+        """Execute ``(key, run)`` tasks; returns ``key -> result`` with
+        every task either done or quarantined.
 
         Raises :class:`SweepInterrupted` if a signal stopped the sweep
         before all tasks reached a terminal state.
         """
         self.start()
         state = self._state
-        for key, app, config, scale in tasks:
-            self.submit(key, app, config, scale)
-        restore = self._install_signal_handlers()
+        for key, run in tasks:
+            self.submit(key, run)
         try:
-            for _ in range(min(self.jobs, len(state))):
-                self._spawn_worker()
-            while True:
-                open_tasks = [
-                    t for t in state.values() if t.status in ("pending", "running")
-                ]
-                if not open_tasks:
-                    break
-                if self._stop:
-                    running = any(t.status == "running" for t in state.values())
-                    drained = time.monotonic() > self._stop_at + self.drain_timeout
-                    if not running or drained:
-                        break
-                self.step(respawn=not self._stop)
+            with _drain_on_signal(self.request_stop,
+                                  "sweep: caught signal, draining workers"):
+                for _ in range(min(self.jobs, len(state))):
+                    self._spawn_worker()
+                while self.open_count():
+                    if self._stop:
+                        drained = time.monotonic() > self._stop_at + self.drain_timeout
+                        if not self.running_count() or drained:
+                            break
+                    self.step(respawn=not self._stop)
         finally:
-            self._restore_signal_handlers(restore)
             self.shutdown()
-        remaining = sum(
-            1 for t in state.values() if t.status in ("pending", "running")
-        )
+        remaining = self.open_count()
         if remaining:
             done = sum(1 for t in state.values() if t.status == "done")
             raise SweepInterrupted(
@@ -387,42 +358,20 @@ class SweepSupervisor:
         self._state = {}
         self._events = []
 
-    def submit(
-        self,
-        key: str,
-        app: str,
-        config: SystemConfig,
-        scale: float,
-        *,
-        checkpoint_every: Optional[int] = None,
-        checkpoint_dir: Optional[str] = None,
-        resume_from: Optional[str] = None,
-        lanes: Optional[int] = None,
-        accesses_per_lane: Optional[int] = None,
-        seed: Optional[int] = None,
-    ) -> None:
-        """Queue one task (idempotent per ``key``).  Checkpoint knobs
-        make the run migratable: the coordinator can later
-        :meth:`preempt` it and resubmit elsewhere with ``resume_from``.
-        ``lanes`` / ``accesses_per_lane`` / ``seed`` override the
-        supervisor-wide trace shape for this task only (the job
-        service's pool is heterogeneous; figure grids are not)."""
+    def submit(self, key: str, run: Dict[str, Any]) -> None:
+        """Queue one ``(key, run)`` task (idempotent per ``key``).  A
+        ``run`` with checkpoint arguments is migratable: the coordinator
+        can later :meth:`preempt` it and resubmit it elsewhere with
+        ``resume_from``."""
         if key not in self._state:
-            self._state[key] = _Task(
-                key, app, config, scale,
-                ckpt_every=checkpoint_every,
-                ckpt_dir=checkpoint_dir,
-                resume_from=resume_from,
-                lanes=lanes,
-                accesses_per_lane=accesses_per_lane,
-                seed=seed,
-            )
+            self._state[key] = _Task(key, run)
 
     def step(self, *, respawn: bool = True) -> List[tuple]:
         """One supervision tick: dispatch pending tasks, pump worker
         messages (blocking at most ``TICK``), police liveness, and
         return the events that happened —
-        ``("start", key)`` / ``("done", key, result, attempts)`` /
+        ``("start", key)`` / ``("hb", key)`` (a worker heartbeat) /
+        ``("done", key, result, attempts)`` /
         ``("failed", key, reason, attempts)`` /
         ``("quarantined", key, result, reason)``."""
         state = self._state
@@ -486,18 +435,7 @@ class SweepSupervisor:
                 self._retire_worker(wid)
                 break
         del self._state[key]
-        if task.ckpt_dir is None:
-            return None
-        try:
-            ckpts = sorted(
-                p for p in os.listdir(task.ckpt_dir)
-                if p.startswith("ckpt-") and p.endswith(".ckpt")
-            )
-        except OSError:
-            return None
-        if not ckpts:
-            return None
-        return os.path.join(task.ckpt_dir, ckpts[-1])
+        return newest_checkpoint(task.run.get("checkpoint_dir"))
 
     def shutdown(self) -> None:
         """Terminate the fleet and tear down queues (idempotent)."""
@@ -510,37 +448,6 @@ class SweepSupervisor:
                 pass
             self._result_queue = None
 
-    # -- signals -------------------------------------------------------------
-
-    def _install_signal_handlers(self):
-        if threading.current_thread() is not threading.main_thread():
-            return []
-        installed = []
-
-        def handler(signum, frame):
-            if self._stop:
-                raise KeyboardInterrupt
-            self.request_stop()
-            print(
-                "[repro] sweep: caught signal, draining workers "
-                "(interrupt again to force)",
-                file=sys.stderr,
-            )
-
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                installed.append((sig, signal.signal(sig, handler)))
-            except (ValueError, OSError):  # pragma: no cover
-                pass
-        return installed
-
-    def _restore_signal_handlers(self, installed) -> None:
-        for sig, old in installed:
-            try:
-                signal.signal(sig, old)
-            except (ValueError, OSError):  # pragma: no cover
-                pass
-
     # -- workers -------------------------------------------------------------
 
     def _spawn_worker(self) -> None:
@@ -549,7 +456,8 @@ class SweepSupervisor:
         task_queue = self._ctx.Queue()
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(wid, task_queue, self._result_queue, self.heartbeat_interval),
+            args=(wid, task_queue, self._result_queue,
+                  self.heartbeat_interval, os.getpid()),
             daemon=True,
             name=f"repro-sweep-{wid}",
         )
@@ -620,20 +528,12 @@ class SweepSupervisor:
             worker.task_key = task.key
             worker.assigned_at = now
             worker.last_beat = now
-            worker.queue.put((
-                task.key, task.app, task.config, task.scale,
-                task.lanes if task.lanes is not None else self.lanes,
-                task.accesses_per_lane
-                if task.accesses_per_lane is not None
-                else self.accesses_per_lane,
-                task.seed if task.seed is not None else self.seed,
-                task.ckpt_every, task.ckpt_dir, task.resume_from,
-            ))
+            worker.queue.put((task.key, task.run))
             self._events.append(("start", task.key))
             dispatched = True
         if dispatched and self.journal is not None:
-            # Dispatch boundary: under REPRO_JOURNAL_FSYNC=batch this is
-            # where the journal's loss window closes.
+            # Dispatch boundary: under the journal's ``batch`` fsync
+            # policy this is where its loss window closes.
             self.journal.sync()
 
     def _pump(self, state: Dict[str, _Task]) -> None:
@@ -659,7 +559,7 @@ class SweepSupervisor:
         if kind in ("start", "hb"):
             if worker is not None:
                 worker.last_beat = time.monotonic()
-            if kind == "hb" and self.heartbeat_events and key in state:
+            if kind == "hb" and key in state:
                 self._events.append(("hb", key))
             return
         task = state.get(key)
@@ -721,7 +621,7 @@ class SweepSupervisor:
             self.cache.put(task.key, result)
         if self.journal is not None:
             self.journal.record(
-                "done", task.key, app=task.app, attempt=task.attempts + 1
+                "done", task.key, app=task.run["app"], attempt=task.attempts + 1
             )
         self._events.append(("done", task.key, result, task.attempts + 1))
 
@@ -733,22 +633,24 @@ class SweepSupervisor:
         reason = str(reason)[:500]
         if self.journal is not None:
             self.journal.record(
-                "failed", task.key, app=task.app, attempt=task.attempts,
+                "failed", task.key, app=task.run["app"], attempt=task.attempts,
                 reason=reason,
             )
         self._events.append(("failed", task.key, reason, task.attempts))
         if task.attempts >= self.max_attempts:
             task.status = "quarantined"
-            task.result = _quarantine_result(task.app, task.config, reason)
+            task.result = _placeholder_result(
+                task.run["app"], task.run["config"], reason
+            )
             self.quarantined += 1
             if self.journal is not None:
                 self.journal.record(
-                    "quarantined", task.key, app=task.app,
+                    "quarantined", task.key, app=task.run["app"],
                     attempt=task.attempts, reason=reason,
                 )
             self._events.append(("quarantined", task.key, task.result, reason))
             print(
-                f"[repro] sweep: quarantined {task.app} after "
+                f"[repro] sweep: quarantined {task.run['app']} after "
                 f"{task.attempts} attempts: {reason}",
                 file=sys.stderr,
             )
@@ -841,27 +743,26 @@ class ParallelRunner(ExperimentRunner):
             terminal = (
                 merged_terminal_keys(journal.path) if (resume and journal) else {}
             )
-            todo: List[Tuple[str, str, SystemConfig, float]] = []
+            todo: List[Task] = []
             seen = set()
             for app, config, scale in requests:
-                key = ("run", app, scale, self.lanes, self.seed,
-                       self._lane_budget(config.num_gpus), config)
+                key = self._memo_key(app, config, scale)
                 if key in self._results or key in seen:
                     continue
-                disk_key = self.disk_key(app, config, scale)
+                disk_key, run = self.task(app, config, scale)
                 if self.cache is not None:
                     cached = self.cache.get(disk_key)
                     if cached is not None:
                         self._results[key] = cached
                         continue
                 if terminal.get(disk_key) == "quarantined":
-                    self._results[key] = _quarantine_result(
+                    self._results[key] = _placeholder_result(
                         app, config,
                         "skipped on resume (quarantined in sweep journal)",
                     )
                     continue
                 seen.add(key)
-                todo.append((disk_key, app, config, scale))
+                todo.append((disk_key, run))
 
             if todo:
                 self._execute(todo, journal)
@@ -873,29 +774,23 @@ class ParallelRunner(ExperimentRunner):
         return [super(ParallelRunner, self).run(app, config, scale)
                 for app, config, scale in requests]
 
-    def _execute(
-        self,
-        todo: List[Tuple[str, str, SystemConfig, float]],
-        journal: Optional[SweepJournal],
-    ) -> None:
+    def _execute(self, todo: List[Task], journal: Optional[SweepJournal]) -> None:
         """Run the deduplicated cache-miss tasks and memoise the
         results.  Subclasses override this to change *where* tasks run
         (the fabric runner ships them to host agents); everything around
         it — dedup, cache precheck, resume skip, figure orchestration —
         is shared."""
         if self.jobs == 1 or len(todo) == 1:
-            for disk_key, app, config, scale in todo:
-                result = _simulate_job(
-                    (app, config, scale,
-                     self.lanes, self.accesses_per_lane, self.seed)
-                )
-                self._store(disk_key, app, config, scale, result, journal)
+            for disk_key, run in todo:
+                result = _runner_mod.simulate(**run)
+                self._memoize(run, result)
+                if self.cache is not None:
+                    self.cache.put(disk_key, result)
+                if journal is not None:
+                    journal.record("done", disk_key, app=run["app"], attempt=1)
         else:
             supervisor = SweepSupervisor(
                 jobs=self.jobs,
-                lanes=self.lanes,
-                accesses_per_lane=self.accesses_per_lane,
-                seed=self.seed,
                 cache=self.cache,
                 journal=journal,
                 **self.supervisor_opts,
@@ -905,21 +800,13 @@ class ParallelRunner(ExperimentRunner):
                 fresh = supervisor.run(todo)
             finally:
                 self._supervisor = None
-            for disk_key, app, config, scale in todo:
+            for disk_key, run in todo:
                 # Cache/journal already filled by the supervisor.
-                self._memoize(app, config, scale, fresh[disk_key])
+                self._memoize(run, fresh[disk_key])
 
-    def _memoize(self, app, config, scale, result) -> None:
-        key = ("run", app, scale, self.lanes, self.seed,
-               self._lane_budget(config.num_gpus), config)
+    def _memoize(self, run: Dict[str, Any], result: SimulationResult) -> None:
+        key = self._memo_key(run["app"], run["config"], run["scale"])
         self._results[key] = result
-
-    def _store(self, disk_key, app, config, scale, result, journal) -> None:
-        self._memoize(app, config, scale, result)
-        if self.cache is not None:
-            self.cache.put(disk_key, result)
-        if journal is not None:
-            journal.record("done", disk_key, app=app, attempt=1)
 
     # -- figure orchestration ------------------------------------------------
 

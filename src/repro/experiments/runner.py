@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 import sys
 import warnings
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..config import SystemConfig
 from ..gpu.system import MultiGPUSystem
@@ -223,6 +223,10 @@ class ExperimentRunner:
 
     # -- runs ---------------------------------------------------------------
 
+    def _memo_key(self, app: str, config: SystemConfig, scale: float) -> Tuple:
+        return ("run", app, scale, self.lanes, self.seed,
+                self._lane_budget(config.num_gpus), config)
+
     def run(
         self,
         app: str,
@@ -230,8 +234,7 @@ class ExperimentRunner:
         scale: float = 1.0,
     ) -> SimulationResult:
         """Run ``app`` on ``config`` (memoised, then disk-cached)."""
-        key = ("run", app, scale, self.lanes, self.seed,
-               self._lane_budget(config.num_gpus), config)
+        key = self._memo_key(app, config, scale)
         result = self._results.get(key)
         if result is None:
             disk_key = None
@@ -257,16 +260,18 @@ class ExperimentRunner:
             self._results[key] = result
         return result
 
+    def task(
+        self, app: str, config: SystemConfig, scale: float = 1.0
+    ) -> Tuple[str, Dict[str, Any]]:
+        """The sweep task record for one run: ``(cache key, run)``, where
+        ``run`` is the keyword arguments of :func:`simulate`."""
+        run = dict(app=app, config=config, scale=scale, lanes=self.lanes,
+                   accesses_per_lane=self.accesses_per_lane, seed=self.seed)
+        return cache_key(**run), run
+
     def disk_key(self, app: str, config: SystemConfig, scale: float = 1.0) -> str:
         """Content hash identifying one run in the on-disk cache."""
-        return cache_key(
-            app,
-            config,
-            scale=scale,
-            lanes=self.lanes,
-            accesses_per_lane=self.accesses_per_lane,
-            seed=self.seed,
-        )
+        return self.task(app, config, scale)[0]
 
     def cached_runs(self) -> int:
         """Number of memoised simulation results (for tests)."""

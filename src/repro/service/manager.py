@@ -7,8 +7,10 @@ One manager owns the whole job lifecycle behind the HTTP layer:
   accepted job *before* acknowledging it — an acknowledged job is
   durable by construction.
 * **Execution** (the manager's scheduler thread): feed queued jobs to a
-  :class:`~repro.experiments.parallel.SweepSupervisor` worker pool and
-  translate its tick events (dispatch, heartbeat, retry, quarantine,
+  :class:`~repro.experiments.parallel.SweepSupervisor` worker pool as
+  ``(key, run)`` task records — each run's cache key plus its
+  ``simulate()`` arguments, checkpoint policy included — and translate
+  its tick events (dispatch, heartbeat, retry, quarantine,
   completion) into job-state transitions and client-visible progress
   events.  Worker SIGKILL, hangs, poison tasks, exponential backoff and
   RCKP resume are all the supervisor's existing machinery — nothing is
@@ -19,7 +21,7 @@ One manager owns the whole job lifecycle behind the HTTP layer:
   resurrects terminal jobs for status/artifact queries, re-admits
   queued jobs, and resumes previously-running jobs from their newest
   RCKP checkpoint (recorded at graceful drain, or discovered on disk
-  after a SIGKILL).
+  after a SIGKILL by :func:`repro.sim.snapshot.newest_checkpoint`).
 * **Graceful drain**: stop admission, let running tasks finish within
   the drain budget, then preempt the stragglers — journaling each
   preempted task's newest checkpoint so the next boot continues it
@@ -32,7 +34,6 @@ queue, the journal, and the job table under one lock.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from pathlib import Path
@@ -42,6 +43,7 @@ from ..experiments.cache import ResultCache
 from ..experiments.journal import SweepJournal, journal_path
 from ..experiments.parallel import SweepSupervisor
 from ..metrics.export import result_to_json_bytes
+from ..sim.snapshot import newest_checkpoint
 from .events import EventBroker
 from .models import JobRecord, JobSpec, new_job_id
 from .queue import AdmissionQueue
@@ -59,20 +61,6 @@ class QueueFull(RuntimeError):
 
 class ServiceDraining(RuntimeError):
     """Admission refused: the server is shutting down (HTTP 503)."""
-
-
-def _newest_checkpoint(directory: Path) -> Optional[str]:
-    """Newest complete RCKP file in ``directory`` (None if none)."""
-    try:
-        names = sorted(
-            name for name in os.listdir(directory)
-            if name.startswith("ckpt-") and name.endswith(".ckpt")
-        )
-    except OSError:
-        return None
-    if not names:
-        return None
-    return str(directory / names[-1])
 
 
 class JobManager:
@@ -100,16 +88,8 @@ class JobManager:
         self.journal = SweepJournal(
             journal_path(cache.root, journal_name), fsync="always"
         )
-        opts = dict(supervisor_opts or {})
-        opts.setdefault("heartbeat_events", True)
         self.supervisor = SweepSupervisor(
-            jobs=workers,
-            lanes=4,
-            accesses_per_lane=1200,
-            seed=7,
-            cache=cache,
-            journal=None,
-            **opts,
+            jobs=workers, cache=cache, journal=None, **(supervisor_opts or {})
         )
         self._lock = threading.RLock()
         self._jobs: Dict[str, JobRecord] = {}
@@ -347,23 +327,18 @@ class JobManager:
                     continue
                 all_cached = False
                 ckpt_dir = self._ckpt_dir(job_id, key)
-                resume_from = hints.get(key) or _newest_checkpoint(
-                    Path(ckpt_dir)
-                )
+                resume_from = hints.get(key) or newest_checkpoint(ckpt_dir)
                 every = (
                     record.spec.checkpoint_every
                     if record.spec.checkpoint_every is not None
                     else self.default_checkpoint_every
                 )
-                self.supervisor.submit(
-                    key, run.app, run.to_config(), run.scale,
+                self.supervisor.submit(key, dict(
+                    run.simulate_args(),
                     checkpoint_every=every,
                     checkpoint_dir=ckpt_dir if every else None,
                     resume_from=resume_from,
-                    lanes=run.lanes,
-                    accesses_per_lane=run.accesses,
-                    seed=run.seed,
-                )
+                ))
                 if resume_from is not None:
                     self.events.emit(
                         job_id, "resumed", task=key, checkpoint=resume_from

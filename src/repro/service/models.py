@@ -198,18 +198,17 @@ class RunSpec:
             )
         return config
 
+    def simulate_args(self) -> Dict[str, Any]:
+        """The keyword arguments of ``simulate()`` for this run."""
+        return dict(app=self.app, config=self.to_config(), scale=self.scale,
+                    lanes=self.lanes, accesses_per_lane=self.accesses,
+                    seed=self.seed)
+
     def task_key(self) -> str:
         """Content-addressed cache key — identical to the key a CLI
         runner with the same sizing flags would compute, which is what
         makes the result cache the service's artifact store."""
-        return cache_key(
-            self.app,
-            self.to_config(),
-            scale=self.scale,
-            lanes=self.lanes,
-            accesses_per_lane=self.accesses,
-            seed=self.seed,
-        )
+        return cache_key(**self.simulate_args())
 
 
 def default_run_spec() -> RunSpec:

@@ -68,6 +68,7 @@ __all__ = [
     "resume_run",
     "save_checkpoint",
     "load_checkpoint",
+    "newest_checkpoint",
 ]
 
 FORMAT_MAGIC = b"RCKP"
@@ -630,6 +631,25 @@ def load_checkpoint(path) -> dict:
 # ----------------------------------------------------------------------
 # Controller
 # ----------------------------------------------------------------------
+
+def newest_checkpoint(directory) -> Optional[str]:
+    """Path of the periodic ``ckpt-<cycle>.ckpt`` checkpoint with the
+    highest cycle stamp in ``directory``; None when there is none (or no
+    directory).  The ``.ckpt-*`` temp files of an unfinished
+    :func:`save_checkpoint` and ``emergency.ckpt`` do not count."""
+    if directory is None:
+        return None
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        return None
+    stamps = {
+        int(name[5:-5]): name for name in names
+        if name.startswith("ckpt-") and name.endswith(".ckpt")
+        and name[5:-5].isdigit()
+    }
+    return os.path.join(directory, stamps[max(stamps)]) if stamps else None
+
 
 class CheckpointController:
     """Engine process that writes a checkpoint every ``every`` cycles.

@@ -15,6 +15,7 @@ These tests exercise the fleet-level contract of
   newest checkpoint (None when checkpointing is off).
 """
 
+import glob
 import json
 import os
 import signal
@@ -26,7 +27,7 @@ import pytest
 
 from repro.config import InvalidationScheme, baseline_config
 from repro.experiments.cache import ResultCache
-from repro.experiments.fabric import FabricRunner, HostSpec, parse_workers
+from repro.experiments.fabric import FabricRunner, HostSpec, _Host, parse_workers
 from repro.experiments.journal import merged_replay
 from repro.experiments.parallel import SweepSupervisor
 from repro.experiments.runner import ExperimentRunner
@@ -39,6 +40,29 @@ SCENARIOS = [
     ("SC", baseline_config(2).with_scheme(InvalidationScheme.LAZY)),
     ("KM", baseline_config(2).with_scheme(InvalidationScheme.IDYLL)),
 ]
+
+
+def _children(pid):
+    """Live child pids of ``pid`` (Linux ``/proc``)."""
+    kids = set()
+    for path in glob.glob(f"/proc/{pid}/task/*/children"):
+        try:
+            with open(path) as fh:
+                kids.update(int(field) for field in fh.read().split())
+        except OSError:
+            pass
+    return kids
+
+
+def _proc_identity(pid):
+    """``(state, start time)`` of ``pid`` from ``/proc``, or None once it
+    is gone.  The start time tells a reused pid from the original."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rpartition(")")[2].split()
+    except OSError:
+        return None
+    return fields[0], fields[19]
 
 
 @pytest.fixture(scope="module")
@@ -114,16 +138,29 @@ class TestWorkStealing:
         assert fabric.steals >= 1
         assert fabric.stolen_tasks >= 1
 
+    def test_task_waiting_for_a_free_worker_is_not_backlog(self):
+        """Only tasks queued beyond a host's worker count are stealable:
+        otherwise two idle hosts can steal one task back and forth, each
+        before the other starts it, and the sweep never finishes."""
+        host = _Host("h0", HostSpec.parse("local:2"), channel=None)
+        host.assigned = {"a", "b"}
+        assert host.backlog() == 0
+        host.assigned.add("c")
+        assert host.backlog() == 1
+
 
 class TestHostDeathRecovery:
     def test_sigkilled_host_tasks_redispatched(self, tmp_path, expected):
         """SIGKILL one host agent while it has a task on a worker: the
         coordinator must declare it dead, re-dispatch its open tasks to
-        the survivor, and still match serial field-for-field."""
+        the survivor, and still match serial field-for-field.  The
+        killed agent's sweep worker (possibly still booting when the
+        kill lands) and its resource tracker must not outlive it."""
         runner = FabricRunner(
             ["local:1", "local:1"], cache=ResultCache(tmp_path), **SIZES
         )
         killed = []
+        orphans = {}
 
         def killer():
             deadline = time.monotonic() + 60
@@ -134,6 +171,10 @@ class TestHostDeathRecovery:
                         proc = getattr(host.channel, "proc", None)
                         if proc is None or not host.started:
                             continue
+                        for kid in _children(proc.pid):
+                            identity = _proc_identity(kid)
+                            if identity is not None:
+                                orphans[kid] = identity
                         os.kill(proc.pid, signal.SIGKILL)
                         killed.append(host.host_id)
                         return
@@ -148,6 +189,22 @@ class TestHostDeathRecovery:
         assert fabric.host_deaths == 1
         for have, want in zip(got, expected):
             assert asdict(have) == asdict(want)
+        if not glob.glob("/proc/self/task/*/children"):
+            pytest.skip("no /proc child lists here to find orphans with")
+        assert orphans, "the killed agent had no children to check"
+
+        def survivors():
+            alive = []
+            for pid, (_state, started) in orphans.items():
+                now = _proc_identity(pid)
+                if now is not None and now[0] != "Z" and now[1] == started:
+                    alive.append(pid)
+            return alive
+
+        deadline = time.monotonic() + 10
+        while survivors() and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not survivors(), f"the killed agent's children outlived it: {survivors()}"
 
 
 class TestResumeNoRecompute:
@@ -199,12 +256,13 @@ class TestResumeNoRecompute:
 
 class TestSupervisorPreempt:
     def test_preempt_kills_running_task(self):
-        supervisor = SweepSupervisor(
-            jobs=1, lanes=2, accesses_per_lane=50_000, seed=7
-        )
+        supervisor = SweepSupervisor(jobs=1)
         supervisor.start()
         try:
-            supervisor.submit("victim", "PR", baseline_config(2), 1.0)
+            supervisor.submit("victim", dict(
+                app="PR", config=baseline_config(2), scale=1.0,
+                lanes=2, accesses_per_lane=50_000, seed=7,
+            ))
             started = False
             deadline = time.monotonic() + 60
             while time.monotonic() < deadline and not started:
@@ -220,11 +278,14 @@ class TestSupervisorPreempt:
             supervisor.shutdown()
 
     def test_preempt_unknown_or_pending_key_is_noop(self):
-        supervisor = SweepSupervisor(jobs=1, lanes=1, accesses_per_lane=10, seed=1)
+        supervisor = SweepSupervisor(jobs=1)
         supervisor.start()
         try:
             assert supervisor.preempt("ghost") is None
-            supervisor.submit("queued", "PR", baseline_config(2), 1.0)
+            supervisor.submit("queued", dict(
+                app="PR", config=baseline_config(2), scale=1.0,
+                lanes=1, accesses_per_lane=10, seed=1,
+            ))
             # Still pending (no step yet): preempt only touches running
             # tasks, so the queued task survives untouched.
             assert supervisor.preempt("queued") is None

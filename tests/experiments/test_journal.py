@@ -113,19 +113,9 @@ class TestFsyncModes:
         journal.close()
         assert journal.terminal_keys() == {"a": "done"}
 
-    def test_env_sets_mode(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_JOURNAL_FSYNC", "always")
-        assert SweepJournal(tmp_path / "s.jsonl").fsync_mode == "always"
-
-    def test_unknown_mode_warns_and_uses_batch(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_JOURNAL_FSYNC", "paranoid")
-        with pytest.warns(RuntimeWarning, match="paranoid"):
-            journal = SweepJournal(tmp_path / "s.jsonl")
-        assert journal.fsync_mode == "batch"
-
-    def test_explicit_arg_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_JOURNAL_FSYNC", "always")
-        assert SweepJournal(tmp_path / "s.jsonl", fsync="batch").fsync_mode == "batch"
+    def test_unknown_mode_raises(self, tmp_path):
+        with pytest.raises(ValueError, match="paranoid"):
+            SweepJournal(tmp_path / "s.jsonl", fsync="paranoid")
 
     def test_stamp_adds_wallclock_ts(self, tmp_path):
         path = tmp_path / "s.jsonl"

@@ -196,9 +196,7 @@ class TestTerminateEscalation:
     def test_stubborn_child_is_killed_not_orphaned(self):
         """terminate → join → kill: a child that ignores SIGTERM (the
         first signal) must still be dead when teardown returns."""
-        supervisor = SweepSupervisor(
-            jobs=1, lanes=1, accesses_per_lane=1, seed=1, terminate_grace=0.5
-        )
+        supervisor = SweepSupervisor(jobs=1, terminate_grace=0.5)
         ctx = multiprocessing.get_context("spawn")
         supervisor._ctx = ctx
         ready = ctx.Event()

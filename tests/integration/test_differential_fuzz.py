@@ -130,6 +130,49 @@ class TestKnownDivergence:
                         batch_limit=4096, inflight_per_cu=1, sim_seed=11)
         assert check_spec(spec) is None
 
+    # The divergent specs `repro fuzz --runs 300` reports for seeds 99
+    # and 7, each named by the fields where the fast path and the event
+    # path disagree.  None has a diagnosed cause yet.
+    @pytest.mark.parametrize("spec", [
+        pytest.param(
+            FuzzSpec(seed=179560246, num_gpus=2, lanes=2, accesses=30,
+                     shared_pages=0, private_pages=8, scheme="idyll",
+                     batch_limit=1, inflight_per_cu=1, sim_seed=11),
+            marks=pytest.mark.xfail(strict=True, reason=(
+                "campaign seed 99, private pages only: exec_time 13666 "
+                "vs 13794")),
+            id="seed99-private-exec_time",
+        ),
+        pytest.param(
+            FuzzSpec(seed=1029111071, num_gpus=8, lanes=1, accesses=30,
+                     shared_pages=24, private_pages=8, scheme="idyll",
+                     batch_limit=4096, inflight_per_cu=1, sim_seed=7),
+            marks=pytest.mark.xfail(strict=True, reason=(
+                "campaign seed 99: demand_miss_total_latency 177136 vs "
+                "177139 (exec_time agrees)")),
+            id="seed99-shared-miss_latency",
+        ),
+        pytest.param(
+            FuzzSpec(seed=651011932, num_gpus=8, lanes=2, accesses=60,
+                     shared_pages=0, private_pages=8, scheme="idyll",
+                     batch_limit=1, inflight_per_cu=1, sim_seed=7),
+            marks=pytest.mark.xfail(strict=True, reason=(
+                "campaign seed 99, private pages only: exec_time 17955 "
+                "vs 17819")),
+            id="seed99-private-exec_time-8gpu",
+        ),
+        pytest.param(
+            FuzzSpec(seed=341225188, num_gpus=4, lanes=1, accesses=30,
+                     shared_pages=24, private_pages=4, scheme="broadcast",
+                     batch_limit=2, inflight_per_cu=1, sim_seed=7),
+            marks=pytest.mark.xfail(strict=True, reason=(
+                "campaign seed 7: migration_waiting_total 4399 vs 4398")),
+            id="seed7-broadcast-migration_waiting",
+        ),
+    ])
+    def test_campaign_divergence(self, spec):
+        assert check_spec(spec) is None
+
 
 class TestStdlibOnly:
     def test_run_and_fuzz_import_only_stdlib(self):

@@ -146,7 +146,7 @@ class TestJournalRecovery:
         reborn.supervisor.start()  # task table only; no workers yet
         reborn._admit_from_queue()
         task = reborn.supervisor._state[key]
-        assert task.resume_from == os.path.join(
+        assert task.run["resume_from"] == os.path.join(
             ckpt_dir, "ckpt-000000015000.ckpt"
         )
         events = [e["event"] for e in reborn.events.since(record.id)]

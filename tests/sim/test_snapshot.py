@@ -14,6 +14,7 @@ from repro.sim.snapshot import (
     CheckpointError,
     dumps_checkpoint,
     load_checkpoint,
+    newest_checkpoint,
     save_checkpoint,
 )
 
@@ -92,6 +93,34 @@ class TestValidation:
         path.write_bytes(dumps_checkpoint(["not", "a", "dict"]))
         with pytest.raises(CheckpointError, match="invalid payload"):
             load_checkpoint(path)
+
+
+class TestNewestCheckpoint:
+    def test_picks_highest_cycle_stamp(self, tmp_path):
+        for cycle in (15000, 9000, 1_000_000_000_000):
+            save_checkpoint(_payload(), tmp_path / f"ckpt-{cycle:012d}.ckpt")
+        # Numeric, not lexical: a 13-digit stamp is the newest.
+        assert newest_checkpoint(tmp_path) == str(
+            tmp_path / "ckpt-1000000000000.ckpt"
+        )
+
+    def test_ignores_temp_and_emergency_files(self, tmp_path):
+        import tempfile
+
+        save_checkpoint(_payload(), tmp_path / "ckpt-000000001000.ckpt")
+        # What an unfinished save_checkpoint leaves behind.
+        fd, _tmp = tempfile.mkstemp(prefix=".ckpt-", dir=tmp_path)
+        os.close(fd)
+        save_checkpoint(_payload(), tmp_path / "emergency.ckpt")
+        (tmp_path / "ckpt-latest.ckpt").write_bytes(b"")
+        assert newest_checkpoint(tmp_path) == str(
+            tmp_path / "ckpt-000000001000.ckpt"
+        )
+
+    def test_none_without_checkpoints(self, tmp_path):
+        assert newest_checkpoint(tmp_path) is None
+        assert newest_checkpoint(tmp_path / "missing") is None
+        assert newest_checkpoint(None) is None
 
 
 class TestController:
